@@ -43,24 +43,24 @@ func Ring(nodeAt []int) *graphx.Graph {
 func Chord(nodeAt []int) *graphx.Graph {
 	n := len(nodeAt)
 	g := graphx.NewGraph(n)
-	// Dedupe locally: probing g.HasEdge between inserts would re-fold
-	// the CSR arrays on every probe, turning the build quadratic.
-	seen := make(map[[2]int]bool, 2*n)
+	// Rank edge {r, r+2^a mod n} is also rank edge {s, s+2^b mod n} for
+	// s = r+2^a mod n exactly when 2^a + 2^b = n, i.e. when n-2^a is a
+	// power of two. The scan meets the pair first from the smaller of r
+	// and s, so the repeat is the one whose far end wrapped below r.
 	for r := 0; r < n; r++ {
 		for step := 1; step < n; step <<= 1 {
 			s := (r + step) % n
-			u, v := nodeAt[r], nodeAt[s]
-			if u > v {
-				u, v = v, u
+			if s < r && isPow2(n-step) {
+				continue
 			}
-			if u != v && !seen[[2]int{u, v}] {
-				seen[[2]int{u, v}] = true
-				g.AddEdge(u, v)
-			}
+			g.AddEdge(min(nodeAt[r], nodeAt[s]), max(nodeAt[r], nodeAt[s]))
 		}
 	}
 	return g
 }
+
+// isPow2 reports whether x is a positive power of two.
+func isPow2(x int) bool { return x > 0 && x&(x-1) == 0 }
 
 // Hypercube returns the (possibly incomplete) hypercube: rank r
 // connects to r XOR 2^b whenever the partner rank exists. For n a

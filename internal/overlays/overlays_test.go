@@ -1,9 +1,11 @@
 package overlays
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"overlay/internal/graphx"
 	"overlay/internal/rng"
 	"overlay/internal/sim"
 )
@@ -42,6 +44,54 @@ func TestChordDiameterAndDegree(t *testing.T) {
 		}
 		if deg := g.MaxDegree(); deg > 2*lg+2 {
 			t.Errorf("n=%d: chord degree %d > 2 log n + 2", n, deg)
+		}
+	}
+}
+
+// chordByMap is the Chord construction that deduplicates by probing
+// a map of emitted node pairs; it stays here as the oracle for the
+// arithmetic dedup.
+func chordByMap(nodeAt []int) *graphx.Graph {
+	n := len(nodeAt)
+	g := graphx.NewGraph(n)
+	seen := make(map[[2]int]bool, 2*n)
+	for r := 0; r < n; r++ {
+		for step := 1; step < n; step <<= 1 {
+			s := (r + step) % n
+			u, v := nodeAt[r], nodeAt[s]
+			if u > v {
+				u, v = v, u
+			}
+			if u != v && !seen[[2]int{u, v}] {
+				seen[[2]int{u, v}] = true
+				g.AddEdge(u, v)
+			}
+		}
+	}
+	return g
+}
+
+// TestChordMatchesMapDedup pins the arithmetic dedup to the map
+// oracle: the same edges in the same insertion order, hence the same
+// edge list and the same neighbor order at every node, over random
+// rank permutations of every small n and of power-of-two and
+// non-power-of-two large n.
+func TestChordMatchesMapDedup(t *testing.T) {
+	src := rng.New(0xc0d)
+	sizes := []int{4096, 4100}
+	for n := 2; n <= 130; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		nodeAt := src.Perm(n)
+		got, want := Chord(nodeAt), chordByMap(nodeAt)
+		if !slices.Equal(got.Edges(), want.Edges()) {
+			t.Fatalf("n=%d: Chord edges differ from the map-deduplicated construction", n)
+		}
+		for u := 0; u < n; u++ {
+			if !slices.Equal(got.Neighbors(u), want.Neighbors(u)) {
+				t.Fatalf("n=%d: node %d neighbor order %v, oracle %v", n, u, got.Neighbors(u), want.Neighbors(u))
+			}
 		}
 	}
 }

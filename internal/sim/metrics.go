@@ -27,6 +27,12 @@ type Metrics struct {
 	// FaultDelays counts messages the fault plane held back (each
 	// delayed message is counted once, when first held).
 	FaultDelays int64
+	// NodeRounds counts node visits: the sum over rounds of how many
+	// nodes ran (the active set plus parked nodes woken by mail or by
+	// their deadline). Init is not a round and is not counted. A
+	// sparse protocol that parks its idle nodes keeps this near its
+	// message count rather than rounds × N.
+	NodeRounds int64
 }
 
 // MaxPerNodeSent returns the maximum total units sent by any node, the

@@ -38,12 +38,16 @@
 // (CSR-style), so a round performs zero per-message allocations and
 // delivery is a cache-linear scan instead of pointer chasing.
 // Identifier routing is a binary search over a sorted index rather
-// than a hash map, and an active-set scheduler skips nodes that have
-// halted, so a mostly-halted network costs only its live fraction per
-// round. Consequently a node's inbox slice is only valid for the
-// duration of its Round call, and a halted node's Round is invoked
-// again only when a message arrives for it (a halted node with an
-// empty inbox is not ticked).
+// than a hash map, and an active-set scheduler skips parked nodes, so
+// a mostly-idle network costs only its traffic per round. A node parks
+// by halting (Ctx.Halt or Halter), which parks it with no deadline, or
+// by Ctx.SleepUntil(r), which parks it until round r. A parked node's
+// Round is invoked again only when a message survives delivery to it
+// or its deadline arrives, whichever comes first — a parked node with
+// an empty inbox is not ticked before its deadline — and Run keeps
+// ticking (empty) rounds while any deadline is pending, so a round
+// count never depends on who slept. Consequently a node's inbox slice
+// is only valid for the duration of its Round call.
 package sim
 
 import (
@@ -70,8 +74,10 @@ type Node interface {
 
 // Halter is an optional Node extension: when every node reports Halted,
 // the engine stops early. Nodes without Halter are covered by Ctx.Halt.
-// A node reporting Halted is removed from the active set and its Round
-// is only invoked again when a message is delivered to it.
+// A node reporting Halted after a round is parked with no deadline: it
+// leaves the active set and its Round is only invoked again when a
+// message is delivered to it. Ctx.SleepUntil is the same parked state
+// with a deadline round that also wakes it.
 type Halter interface {
 	Halted() bool
 }
@@ -144,12 +150,34 @@ type Engine struct {
 	// to traffic, not to N.
 	inOff, inCnt, inPos []int32
 
-	// Active-set scheduler state. active lists non-halted nodes in
-	// ascending index order; runList is the merge of active with halted
-	// nodes that received messages and is what actually runs next round.
+	// Active-set scheduler state. active lists unparked nodes in
+	// ascending index order; runList is the merge of active with parked
+	// nodes woken by mail or by their deadline, and is what actually
+	// runs next round.
 	active  []int32
 	runList []int32
 	scratch []int32 // swap space for rebuilding active/runList
+	woken   []int32 // scratch: the round's mail and deadline wakes
+
+	// Parking state. parked[i] marks node i as outside the active set
+	// (halted, asleep toward a deadline, or crashed), so a surviving
+	// message wakes it; the sequential sender pass writes it before the
+	// sharded delivery reads it. A sleeping node has a deadline entry
+	// in the bucket for round dueAt[i] (0: no live entry). Entries are
+	// cancelled lazily: a mail wake or a re-park only resets dueAt, and
+	// popping a bucket skips entries dueAt no longer names. sleepers
+	// counts live entries; Run keeps ticking while it is positive.
+	parked    []bool
+	dueAt     []int32
+	deadlines []deadlineBucket
+	sleepers  int
+
+	// Outbox slab: each sender's first outbox capacity is carved from a
+	// block shared with its index neighbours, allocated on the block's
+	// first send. Node handlers run concurrently, so outMu guards the
+	// block table; each node carves only once.
+	outMu     sync.Mutex
+	outBlocks []outBlock
 
 	// shards own disjoint contiguous destination ranges of shardSize
 	// indices each: node i's inbox lives in shards[i/shardSize].
@@ -177,7 +205,7 @@ type Engine struct {
 type shardState struct {
 	arena   []Wire  // flat inbox storage for the shard's destinations
 	touched []int32 // destinations that received messages this round
-	wake    []int32 // halted destinations among touched
+	wake    []int32 // parked destinations among touched
 	perm    []int   // scratch permutation for receive-cap sampling
 	maxRecv int
 	drops   int64
@@ -190,6 +218,30 @@ type shardState struct {
 	advDelays int64
 	_         [64]byte
 }
+
+// deadlineBucket holds the nodes sleeping until one round, in the
+// order they parked; the engine keeps buckets in ascending round order.
+type deadlineBucket struct {
+	round int32
+	nodes []int32
+}
+
+// outBlock is one outbox slab block: outboxInit wires and destination
+// slots for each of outboxBlockNodes consecutive node indices.
+type outBlock struct {
+	w []Wire
+	d []int32
+}
+
+const (
+	// outboxInit is a sender's first outbox capacity: typical
+	// O(log n)-fan-out senders reach their steady state in one or two
+	// growths instead of doubling up from 1.
+	outboxInit = 16
+	// outboxBlockNodes is how many consecutive node indices share an
+	// outbox slab block.
+	outboxBlockNodes = 64
+)
 
 // Ctx is a node's handle to the engine, valid for the duration of the
 // run. All methods must be called only from the owning node's Init or
@@ -210,6 +262,9 @@ type Ctx struct {
 
 	sentUnits int
 	halted    bool
+	// sleepUntil is the deadline requested by SleepUntil during the
+	// current Init or Round; the sender pass consumes and clears it.
+	sleepUntil int32
 }
 
 // New builds an engine running the given nodes. Node identifiers are
@@ -230,6 +285,7 @@ func New(cfg Config, nodes []Node) *Engine {
 		inOff:   make([]int32, n),
 		inCnt:   make([]int32, n),
 		inPos:   make([]int32, n),
+		parked:  make([]bool, n),
 	}
 	root := rng.New(cfg.Seed)
 	idStream := root.Split(0xed5)
@@ -281,6 +337,7 @@ func New(cfg Config, nodes []Node) *Engine {
 	if e.shardSize < 1 {
 		e.shardSize = 1
 	}
+	e.outBlocks = make([]outBlock, (n+outboxBlockNodes-1)/outboxBlockNodes)
 	e.metrics.PerNodeSent = make([]int64, n)
 	e.metrics.PerNodeRecv = make([]int64, n)
 	e.adv = compileAdversary(cfg.Adversary, n)
@@ -343,14 +400,15 @@ func (e *Engine) NumNodes() int { return e.cfg.N }
 // Round returns the number of rounds executed so far.
 func (e *Engine) Round() int { return e.round }
 
-// NumActive returns the number of nodes that have not halted. The
-// active-set scheduler only spends time on these (plus halted nodes
-// with arriving messages) each round.
+// NumActive returns the number of nodes that have not halted: the
+// active set plus the nodes asleep toward a deadline. The scheduler
+// only spends time on the active set (plus parked nodes woken by mail
+// or by their deadline) each round.
 func (e *Engine) NumActive() int {
 	if !e.inited {
 		return e.cfg.N
 	}
-	return len(e.active)
+	return len(e.active) + e.sleepers
 }
 
 // Metrics returns the accumulated communication metrics.
@@ -369,9 +427,24 @@ func (e *Engine) inboxOf(i int32) []Wire {
 	return e.shards[int(i)/e.shardSize].arena[off : off+cnt : off+cnt]
 }
 
-// Halt marks the node as locally terminated. The engine stops when all
-// nodes are halted and no messages remain in flight.
+// Halt marks the node as locally terminated: after this round it is
+// parked with no deadline, woken only by mail. The engine stops when
+// all nodes are halted and no messages remain in flight.
 func (c *Ctx) Halt() { c.halted = true }
+
+// SleepUntil parks the node after the current Init or Round until
+// round r or its next surviving message, whichever comes first: its
+// Round is not invoked in the empty rounds between. A node should
+// sleep only through rounds in which an empty inbox would leave it
+// idle. r at or before the next round is a no-op, and the request
+// lasts one park: a woken node that does not sleep again stays active.
+// A halted node ignores it. Run keeps counting rounds while a deadline
+// is pending, so sleeping never changes a run's round count.
+func (c *Ctx) SleepUntil(r int) {
+	if r > c.engine.round+1 {
+		c.sleepUntil = int32(r)
+	}
+}
 
 // NumNodes exposes N. The paper only requires nodes to know an upper
 // bound L ≥ log n; protocols should prefer LogBound.
@@ -404,15 +477,18 @@ func (e *Engine) halted(i int32) bool {
 }
 
 // Run executes rounds until the network quiesces — every node has
-// halted and no messages remain in flight — or maxRounds elapse,
-// returning the number of rounds executed. The in-flight condition
-// honors the wake-on-message guarantee: a message sent to a halted
-// node by the last active sender still gets delivered (one wake round)
-// before the engine stops.
+// halted, no deadline is pending, and no messages remain in flight —
+// or maxRounds elapse, returning the number of rounds executed. The
+// in-flight condition honors the wake-on-message guarantee: a message
+// sent to a halted node by the last active sender still gets
+// delivered (one wake round) before the engine stops. A pending
+// deadline keeps empty rounds ticking, exactly as if the sleeper had
+// run them idle; a sleeper whose crash round comes first keeps them
+// ticking only until it dies.
 func (e *Engine) Run(maxRounds int) int {
 	e.initNodes()
 	for r := 0; r < maxRounds; r++ {
-		if len(e.runList) == 0 && !e.pendingHeld() {
+		if len(e.runList) == 0 && e.sleepers == 0 && !e.pendingHeld() {
 			break
 		}
 		if e.cfg.Interrupt != nil && e.cfg.Interrupt() {
@@ -462,6 +538,7 @@ func (e *Engine) initNodes() {
 		// A node crashed at round <= 0 is dead from the start: it never
 		// runs Init and never joins a run list.
 		if e.adv != nil && e.adv.deadFromStart(int32(i)) {
+			e.parked[i] = true
 			continue
 		}
 		e.runList = append(e.runList, int32(i))
@@ -476,6 +553,7 @@ func (e *Engine) initNodes() {
 func (e *Engine) step() {
 	e.round++
 	run := e.runList
+	e.metrics.NodeRounds += int64(len(run))
 	e.forEach(len(run), func(k int) {
 		i := run[k]
 		e.nodes[i].Round(&e.ctxs[i], e.inboxOf(i))
@@ -531,9 +609,16 @@ func (e *Engine) forEach(k int, fn func(int)) {
 // exactly the order the sequential merge produces, with no locking.
 func (e *Engine) deliver() {
 	run := e.runList
+	// deliverRound is the round the scattered messages will be consumed
+	// in, and the round the runners' park decisions are taken against.
+	deliverRound := int32(e.round + 1)
 
-	// Sender pass: caps and sender-side metrics.
+	// Sender pass: caps, sender-side metrics, and each runner's park
+	// decision. The park marks must be final before the sharded
+	// delivery reads them: a message to a node that parks this very
+	// round has to wake it next round.
 	roundSentMax := 0
+	next := e.scratch[:0]
 	for _, i := range run {
 		ctx := &e.ctxs[i]
 		sent := ctx.sentUnits
@@ -551,11 +636,11 @@ func (e *Engine) deliver() {
 		if sent > roundSentMax {
 			roundSentMax = sent
 		}
+		next = e.settle(i, ctx, deliverRound, next)
 	}
+	e.scratch, e.active = e.active, next
 
-	// Sharded delivery into the flat per-shard arenas. deliverRound is
-	// the round the scattered messages will be consumed in.
-	deliverRound := int32(e.round + 1)
+	// Sharded delivery into the flat per-shard arenas.
 	e.forEach(len(e.shards), func(s int) {
 		lo := int32(s * e.shardSize)
 		hi := lo + int32(e.shardSize)
@@ -591,45 +676,125 @@ func (e *Engine) deliver() {
 		ctx.outD = ctx.outD[:0]
 	}
 
-	// Rebuild the active set: nodes that ran and are still live. Nodes
-	// that did not run cannot have changed state, and were halted.
-	// Nodes whose crash round has arrived are removed for good.
-	next := e.scratch[:0]
-	if e.adv != nil && e.adv.hasCrash {
-		for _, i := range run {
-			if !e.halted(i) && !e.adv.dead(i, deliverRound) {
-				next = append(next, i)
+	// Next round runs the active set plus every parked node woken by
+	// mail or by its deadline. Shard wake lists cover disjoint ascending
+	// ranges, so sorting each and concatenating them in shard order
+	// yields a sorted list. A mail wake cancels the node's pending
+	// deadline before the due bucket pops, so no node wakes twice.
+	woken := e.woken[:0]
+	for s := range e.shards {
+		w := e.shards[s].wake
+		slices.Sort(w)
+		woken = append(woken, w...)
+	}
+	if len(e.deadlines) > 0 {
+		for _, j := range woken {
+			if e.dueAt[j] != 0 {
+				e.dueAt[j] = 0
+				e.sleepers--
 			}
 		}
-	} else {
-		for _, i := range run {
-			if !e.halted(i) {
-				next = append(next, i)
-			}
+		n := len(woken)
+		woken = e.popDue(deliverRound, woken)
+		if len(woken) > n {
+			slices.Sort(woken)
 		}
 	}
-	e.scratch, e.active = e.active, next
+	e.woken = woken
+	e.runList = mergeSorted(e.runList[:0], e.active, woken)
+}
 
-	// Next round runs the active set plus any halted node with mail.
-	// Shard wake lists cover disjoint ascending ranges, so sorting each
-	// and walking shards in order yields a globally sorted merge.
-	e.runList = e.runList[:0]
-	merged := e.runList
-	for s := range e.shards {
-		slices.Sort(e.shards[s].wake)
+// settle files node i, which just ran, for round r: active, parked
+// toward its SleepUntil deadline, or parked with no deadline (halted
+// or crashed). Active nodes are appended to next.
+//
+//overlay:hotpath
+func (e *Engine) settle(i int32, ctx *Ctx, r int32, next []int32) []int32 {
+	until := ctx.sleepUntil
+	ctx.sleepUntil = 0
+	switch {
+	case e.halted(i) || e.adv != nil && e.adv.dead(i, r):
+		e.parked[i] = true
+	case until > r:
+		e.parked[i] = true
+		e.sleep(i, until)
+	default:
+		e.parked[i] = false
+		next = append(next, i)
 	}
-	ai := 0
-	for s := range e.shards {
-		for _, j := range e.shards[s].wake {
-			for ai < len(e.active) && e.active[ai] < j {
-				merged = append(merged, e.active[ai])
-				ai++
+	return next
+}
+
+// sleep files a deadline entry for node i. A node that crashes before
+// its deadline is filed under its crash round instead: the entry keeps
+// the rounds it would have idled through ticking, then retires without
+// waking it.
+//
+//overlay:hotpath
+func (e *Engine) sleep(i, until int32) {
+	key := until
+	if e.adv != nil && e.adv.hasCrash && e.adv.crashRound[i] < key {
+		key = e.adv.crashRound[i]
+	}
+	if e.dueAt == nil {
+		e.dueAt = make([]int32, e.cfg.N)
+	}
+	e.dueAt[i] = key
+	e.sleepers++
+	// Buckets are few and new deadlines are usually the latest, so a
+	// scan from the back finds the slot.
+	k := len(e.deadlines)
+	for k > 0 && e.deadlines[k-1].round > key {
+		k--
+	}
+	if k == 0 || e.deadlines[k-1].round != key {
+		e.deadlines = slices.Insert(e.deadlines, k, deadlineBucket{round: key})
+		k++
+	}
+	b := &e.deadlines[k-1]
+	b.nodes = append(b.nodes, i)
+}
+
+// popDue pops the deadline buckets due by round r, appending the nodes
+// whose entries are still live and who are alive at r to out. Entries
+// of crashed nodes retire without waking anyone.
+//
+//overlay:hotpath
+func (e *Engine) popDue(r int32, out []int32) []int32 {
+	for len(e.deadlines) > 0 && e.deadlines[0].round <= r {
+		b := &e.deadlines[0]
+		for _, i := range b.nodes {
+			if e.dueAt[i] != b.round {
+				continue // superseded by a mail wake or a later park
 			}
-			merged = append(merged, j)
+			e.dueAt[i] = 0
+			e.sleepers--
+			if e.adv == nil || !e.adv.dead(i, r) {
+				out = append(out, i)
+			}
 		}
+		last := len(e.deadlines) - 1
+		copy(e.deadlines, e.deadlines[1:])
+		e.deadlines[last] = deadlineBucket{}
+		e.deadlines = e.deadlines[:last]
 	}
-	merged = append(merged, e.active[ai:]...)
-	e.runList = merged
+	return out
+}
+
+// mergeSorted appends the merge of the ascending, disjoint lists a and
+// b to dst.
+//
+//overlay:hotpath
+func mergeSorted(dst, a, b []int32) []int32 {
+	ai := 0
+	for _, j := range b {
+		for ai < len(a) && a[ai] < j {
+			dst = append(dst, a[ai])
+			ai++
+		}
+		dst = append(dst, j)
+	}
+	return append(dst, a[ai:]...)
 }
 
 // deliverShard fills the shard's arena with the messages destined for
@@ -718,7 +883,7 @@ func (e *Engine) layoutArena(sc *shardState, total int32) {
 
 // applyRecvCaps is the final delivery pass shared by the fast and
 // fault paths: receive-cap enforcement, receiver-side metrics, and the
-// wake list for halted destinations.
+// wake list for parked destinations.
 //
 //overlay:hotpath
 func (e *Engine) applyRecvCaps(sc *shardState) {
@@ -736,10 +901,10 @@ func (e *Engine) applyRecvCaps(sc *shardState) {
 		if units > sc.maxRecv {
 			sc.maxRecv = units
 		}
-		// Wake a halted destination only if messages actually survived
+		// Wake a parked destination only if messages actually survived
 		// the cap: a fully-dropped inbox is no mail, and the contract
-		// says a halted node with an empty inbox is not ticked.
-		if e.inCnt[j] > 0 && e.halted(j) {
+		// says a parked node with an empty inbox is not ticked.
+		if e.inCnt[j] > 0 && e.parked[j] {
 			sc.wake = append(sc.wake, j)
 		}
 	}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -538,5 +540,262 @@ func TestRoundMaxMetrics(t *testing.T) {
 	}
 	if m.MaxPerNodeSent() != 3 {
 		t.Errorf("MaxPerNodeSent = %d, want 3", m.MaxPerNodeSent())
+	}
+}
+
+// sleeper records the rounds it acts in (gets mail, or reaches round
+// wake) and the mail each brings. From round napFrom on (0: from Init)
+// it parks until round wake, again after every early wake, and it
+// halts at wake — or on its first mail when haltOnMail is set. With
+// idle set it never parks and instead stays active through the same
+// rounds doing nothing: the reference a parked run must match round
+// for round.
+type sleeper struct {
+	napFrom, wake int
+	haltOnMail    bool
+	idle          bool
+	ran, got      []int
+}
+
+func (s *sleeper) nap(ctx *Ctx) {
+	if !s.idle {
+		ctx.SleepUntil(s.wake)
+	}
+}
+
+func (s *sleeper) Init(ctx *Ctx) {
+	if s.napFrom == 0 {
+		s.nap(ctx)
+	}
+}
+
+func (s *sleeper) Round(ctx *Ctx, inbox []Wire) {
+	r := ctx.Round()
+	if len(inbox) > 0 || !s.idle || r >= s.wake {
+		s.ran = append(s.ran, r)
+		s.got = append(s.got, len(inbox))
+	}
+	if r >= s.wake || s.haltOnMail && len(inbox) > 0 {
+		ctx.Halt()
+		return
+	}
+	if r >= s.napFrom {
+		s.nap(ctx)
+	}
+}
+
+// TestSleeperRunsOnceAtDeadline pins the deadline wake: a node parked
+// from Init until round 7 is not ticked in rounds 1-6, runs exactly
+// once at round 7, and Run counts every round up to it although no
+// node ran before it.
+func TestSleeperRunsOnceAtDeadline(t *testing.T) {
+	s := &sleeper{wake: 7}
+	e := New(Config{N: 2, Seed: 3}, []Node{s, &wakeNode{}})
+	if rounds := e.Run(50); rounds != 7 {
+		t.Errorf("rounds = %d, want 7", rounds)
+	}
+	if !reflect.DeepEqual(s.ran, []int{7}) {
+		t.Errorf("sleeper ran in rounds %v, want [7]", s.ran)
+	}
+	if nr := e.Metrics().NodeRounds; nr != 1 {
+		t.Errorf("NodeRounds = %d, want 1", nr)
+	}
+}
+
+// TestMailWakesSleeperOnceAndCancelsDeadline pins the early wake: mail
+// sent in round 2 wakes the sleeper in round 3, once. A sleeper that
+// parks again runs once more at its deadline — not twice, though both
+// its parks filed an entry for round 10 — and one that halts on the
+// mail cancels the deadline outright, so Run stops at round 3 instead
+// of ticking on to 10.
+func TestMailWakesSleeperOnceAndCancelsDeadline(t *testing.T) {
+	for _, halt := range []bool{false, true} {
+		s := &sleeper{wake: 10, haltOnMail: halt}
+		pinger := &pingAndDieNode{}
+		e := New(Config{N: 2, Seed: 5}, []Node{s, pinger})
+		pinger.target = e.IDs()[0]
+		rounds := e.Run(50)
+		wantRan, wantGot, wantRounds := []int{3, 10}, []int{1, 0}, 10
+		if halt {
+			wantRan, wantGot, wantRounds = []int{3}, []int{1}, 3
+		}
+		if !reflect.DeepEqual(s.ran, wantRan) || !reflect.DeepEqual(s.got, wantGot) {
+			t.Errorf("haltOnMail=%v: sleeper ran %v with inboxes %v, want %v with %v", halt, s.ran, s.got, wantRan, wantGot)
+		}
+		if rounds != wantRounds {
+			t.Errorf("haltOnMail=%v: rounds = %d, want %d", halt, rounds, wantRounds)
+		}
+	}
+}
+
+// TestMailToNodeParkingSameRound pins the ordering trap between the
+// sender pass and sharded delivery: the sleeper runs round 2 and parks
+// in it while the pinger sends to it in that same round. The park mark
+// must already be set when delivery decides whom the mail wakes, or
+// the message would land in an inbox nobody reads until round 9.
+func TestMailToNodeParkingSameRound(t *testing.T) {
+	for w := 1; w <= 4; w++ {
+		s := &sleeper{napFrom: 2, wake: 9}
+		pinger := &pingAndDieNode{}
+		e := New(Config{N: 2, Seed: 8, Workers: w}, []Node{s, pinger})
+		pinger.target = e.IDs()[0]
+		e.Run(50)
+		if want := []int{1, 2, 3, 9}; !reflect.DeepEqual(s.ran, want) {
+			t.Errorf("workers=%d: sleeper ran in rounds %v, want %v", w, s.ran, want)
+		}
+		if want := []int{0, 0, 1, 0}; !reflect.DeepEqual(s.got, want) {
+			t.Errorf("workers=%d: sleeper inboxes %v, want %v", w, s.got, want)
+		}
+	}
+}
+
+// TestCrashedSleeperNeverRuns pins parking under crash-stop: a node
+// asleep until round 10 that crashes at round 6 never runs again, and
+// its pending deadline keeps Run ticking only through round 5 — the
+// rounds an idle, never-parking node would have kept alive.
+func TestCrashedSleeperNeverRuns(t *testing.T) {
+	adv := &Adversary{Crashes: []Crash{{Node: 0, Round: 6}}}
+	var rounds [2]int
+	for k, idle := range []bool{false, true} {
+		s := &sleeper{wake: 10, idle: idle}
+		e := New(Config{N: 2, Seed: 9, Adversary: adv}, []Node{s, &wakeNode{}})
+		rounds[k] = e.Run(50)
+		if len(s.ran) != 0 {
+			t.Errorf("idle=%v: crashed sleeper ran in rounds %v", idle, s.ran)
+		}
+	}
+	if rounds[0] != 5 || rounds[1] != 5 {
+		t.Errorf("rounds parked/idle = %d/%d, want 5/5", rounds[0], rounds[1])
+	}
+}
+
+// TestRunWaitsForPendingDeadline pins the stop condition: with every
+// other node halted and nothing in flight, a pending deadline keeps
+// Run going, across budget-limited Run calls too, and NumActive counts
+// the sleeper as not halted.
+func TestRunWaitsForPendingDeadline(t *testing.T) {
+	s := &sleeper{wake: 12}
+	e := New(Config{N: 3, Seed: 4}, []Node{&wakeNode{}, s, &wakeNode{}})
+	if rounds := e.Run(5); rounds != 5 {
+		t.Fatalf("budgeted run stopped at round %d, want 5", rounds)
+	}
+	if e.NumActive() != 1 {
+		t.Errorf("NumActive = %d while asleep, want 1", e.NumActive())
+	}
+	if rounds := e.Run(50); rounds != 12 {
+		t.Errorf("resumed run stopped at round %d, want 12", rounds)
+	}
+	if !reflect.DeepEqual(s.ran, []int{12}) {
+		t.Errorf("sleeper ran in rounds %v, want [12]", s.ran)
+	}
+	if e.NumActive() != 0 {
+		t.Errorf("NumActive = %d after the deadline halt, want 0", e.NumActive())
+	}
+}
+
+// napper is a traffic-driven protocol with idle stretches: it draws a
+// few alarm rounds in Init, sends a three-hop relay token at each, and
+// forwards every token it receives to a random peer until its hops run
+// out; it halts at round last. Between alarms it parks until the next
+// one, or with idle set stays active doing nothing. Its randomness is
+// drawn only in rounds that do something, so both modes must match.
+type napper struct {
+	idle   bool
+	last   int
+	alarms []int
+	recv   []recEntry
+}
+
+func (p *napper) Init(ctx *Ctx) {
+	for r := 1 + ctx.Rand.Intn(4); r < p.last; r += 1 + ctx.Rand.Intn(6) {
+		p.alarms = append(p.alarms, r)
+	}
+	p.nap(ctx)
+}
+
+func (p *napper) nap(ctx *Ctx) {
+	if p.idle {
+		return
+	}
+	next := p.last
+	if len(p.alarms) > 0 {
+		next = p.alarms[0]
+	}
+	ctx.SleepUntil(next)
+}
+
+func (p *napper) Round(ctx *Ctx, inbox []Wire) {
+	r := ctx.Round()
+	all := ctx.engine.IDs()
+	for _, w := range inbox {
+		p.recv = append(p.recv, recEntry{round: r, from: w.From, val: w.W[0]})
+		if w.W[0]&0xff > 0 {
+			Send(ctx, all[ctx.Rand.Intn(len(all))], fvalMsg{v: w.W[0] - 1})
+		}
+	}
+	if len(p.alarms) > 0 && p.alarms[0] == r {
+		p.alarms = p.alarms[1:]
+		Send(ctx, all[ctx.Rand.Intn(len(all))], fvalMsg{v: uint64(r)<<16 | uint64(ctx.Index)<<8 | 3})
+	}
+	if r >= p.last {
+		ctx.Halt()
+		return
+	}
+	p.nap(ctx)
+}
+
+// TestParkingDeterminismAcrossWorkers runs the napper under a delay,
+// drop, and crash adversary at every worker count from 1 to 16, parked
+// and idle: receptions, rounds, and every communication metric must be
+// bit-identical across all 32 runs, while parking must cut node visits.
+func TestParkingDeterminismAcrossWorkers(t *testing.T) {
+	const n = 48
+	adv := &Adversary{
+		Seed:      17,
+		DropProb:  0.05,
+		DelayProb: 0.2,
+		DelayMax:  3,
+		Crashes:   []Crash{{Node: 3, Round: 5}, {Node: 7, Round: 0}, {Node: 12, Round: 9}, {Node: 30, Round: 16}},
+	}
+	run := func(w int, idle bool) (string, int64) {
+		nodes := make([]Node, n)
+		naps := make([]*napper, n)
+		for i := range nodes {
+			naps[i] = &napper{idle: idle, last: 20}
+			nodes[i] = naps[i]
+		}
+		e := New(Config{N: n, Seed: 23, Workers: w, Adversary: adv}, nodes)
+		e.Run(200)
+		h := fnv.New64a()
+		for i, p := range naps {
+			fmt.Fprintf(h, "#%d|", i)
+			for _, r := range p.recv {
+				fmt.Fprintf(h, "%d,%v,%d;", r.round, r.from, r.val)
+			}
+		}
+		m := e.Metrics()
+		return fmt.Sprintf("fp=%016x rounds=%d msgs=%d units=%d fdrops=%d fdelays=%d sent=%v recv=%v maxS=%v maxR=%v",
+			h.Sum64(), e.Round(), m.TotalMessages, m.TotalUnits, m.FaultDrops, m.FaultDelays,
+			m.PerNodeSent, m.PerNodeRecv, m.RoundMaxSent, m.RoundMaxRecv), m.NodeRounds
+	}
+	want, idleVisits := run(1, true)
+	_, parkedVisits := run(1, false)
+	if parkedVisits >= idleVisits {
+		t.Errorf("parked run visited %d node-rounds, idle run %d: parking saved nothing", parkedVisits, idleVisits)
+	}
+	for w := 1; w <= 16; w++ {
+		for _, idle := range []bool{false, true} {
+			got, visits := run(w, idle)
+			if got != want {
+				t.Fatalf("workers=%d idle=%v diverged:\n got %s\nwant %s", w, idle, got, want)
+			}
+			wantVisits := parkedVisits
+			if idle {
+				wantVisits = idleVisits
+			}
+			if visits != wantVisits {
+				t.Errorf("workers=%d idle=%v: %d node-rounds, want %d", w, idle, visits, wantVisits)
+			}
+		}
 	}
 }

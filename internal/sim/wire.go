@@ -91,12 +91,27 @@ func (c *Ctx) SendWire(to ids.ID, w Wire) {
 	c.outD = append(c.outD, j)
 }
 
-// ensureOut lazily sizes the outbox columns: first use starts at a
-// capacity that lets typical O(log n)-fan-out senders reach their
-// steady state in one or two growths instead of doubling up from 1.
+// ensureOut lazily sizes the outbox columns: a node's first send
+// carves outboxInit slots from its block of the engine's outbox slab,
+// so one allocation serves outboxBlockNodes senders. The windows are
+// capped, so a sender that outgrows its window reallocates instead of
+// spilling into a neighbour's.
 func (c *Ctx) ensureOut() {
-	if c.outW == nil {
-		c.outW = make([]Wire, 0, 16)
-		c.outD = make([]int32, 0, 16)
+	if c.outW != nil {
+		return
 	}
+	e := c.engine
+	b := c.Index / outboxBlockNodes
+	e.outMu.Lock()
+	blk := &e.outBlocks[b]
+	if blk.w == nil {
+		m := min(outboxBlockNodes, e.cfg.N-b*outboxBlockNodes) * outboxInit
+		blk.w = make([]Wire, m)
+		blk.d = make([]int32, m)
+	}
+	w, d := blk.w, blk.d
+	e.outMu.Unlock()
+	lo := c.Index % outboxBlockNodes * outboxInit
+	c.outW = w[lo : lo : lo+outboxInit]
+	c.outD = d[lo : lo : lo+outboxInit]
 }

@@ -38,10 +38,17 @@
 //  3. Epoch commit. The new root broadcasts the epoch membership down
 //     the new heap. Budget depth₁ rounds, k−1 messages.
 //
-// Nodes keep processing their inboxes after the halt round — a
-// delayed message can still complete an attachment — but scheduled
-// emissions fire exactly once, so measured rounds extend only as far
-// as the adversary actually held traffic back.
+// Between its scheduled emissions a node is idle unless mail arrives,
+// so it parks on the engine (sim.Ctx.SleepUntil) until the next one:
+// joinStart for a joiner, commitStart for the new root, haltAt for
+// everyone. Arriving mail wakes it early; the engine still counts
+// every round up to the deadlines, so the epoch bill is unchanged and
+// an epoch costs node visits in proportion to its traffic plus the
+// Init and haltAt sweeps. From haltAt on a node is halted, which parks
+// it with no deadline: it keeps processing its inbox whenever mail
+// wakes it — a delayed message can still complete an attachment — but
+// scheduled emissions fire exactly once, so measured rounds extend
+// only as far as the adversary actually held traffic back.
 package wft
 
 import (
@@ -310,6 +317,13 @@ type RepairNode struct {
 	adopted     []ids.ID
 	anomalies   int
 	done        bool
+
+	// fw is the reusable buffer of attachment requests a round routes.
+	fw []joinEntry
+	// stayAwake disables parking: the node idles through every round
+	// instead. Tests set it to check that parking changes nothing but
+	// the engine's node visits.
+	stayAwake bool
 }
 
 // Halted reports protocol completion for the engine.
@@ -334,17 +348,18 @@ func (p *RepairNode) Init(ctx *sim.Ctx) {
 		if p.joinStart == 0 {
 			sim.Send(ctx, p.entry, join1Msg{joiner: p.id, target: p.target})
 		}
-		return
+	} else {
+		p.maybeCensus(ctx)
 	}
-	p.maybeCensus(ctx)
+	p.park(ctx)
 }
 
 // Round drains the inbox — even after the halt round, so delayed
 // traffic still completes attachments — then fires any emission
-// scheduled for this round.
+// scheduled for this round and parks until the next one.
 func (p *RepairNode) Round(ctx *sim.Ctx, inbox []sim.Wire) {
 	r := ctx.Round()
-	var fw []joinEntry
+	fw := p.fw[:0]
 	for _, w := range inbox {
 		switch w.Kind {
 		case kindCensus:
@@ -382,6 +397,7 @@ func (p *RepairNode) Round(ctx *sim.Ctx, inbox []sim.Wire) {
 	}
 	p.maybeCensus(ctx)
 	p.route(ctx, fw)
+	p.fw = fw
 	if p.joiner && r == p.joinStart {
 		sim.Send(ctx, p.entry, join1Msg{joiner: p.id, target: p.target})
 	}
@@ -391,6 +407,26 @@ func (p *RepairNode) Round(ctx *sim.Ctx, inbox []sim.Wire) {
 	if r >= p.haltAt {
 		p.done = true
 	}
+	p.park(ctx)
+}
+
+// park sleeps the node until its next scheduled emission. Every other
+// round with an empty inbox would leave it idle: the census fires only
+// when a child's report arrives, and routing only forwards arrivals.
+// A halted node parks without a deadline through Halted instead.
+func (p *RepairNode) park(ctx *sim.Ctx) {
+	if p.done || p.stayAwake {
+		return
+	}
+	r := ctx.Round()
+	next := p.haltAt
+	if p.joiner && p.joinStart > r && p.joinStart < next {
+		next = p.joinStart
+	}
+	if p.newRank == 0 && p.commitStart > r && p.commitStart < next {
+		next = p.commitStart
+	}
+	ctx.SleepUntil(next)
 }
 
 // maybeCensus fires the node's census report once every sweep child
@@ -509,24 +545,24 @@ func greedyHops(k, from, to int) int {
 }
 
 // NewRepairEngine compiles a RepairSpec into an engine of
-// Survivors+Joiners nodes and returns the node slice (repair-index
-// order) plus a run budget that covers the schedule and any
-// adversarial delays. cfg.N is overwritten.
-func NewRepairEngine(spec *RepairSpec, cfg sim.Config) (*sim.Engine, []*RepairNode, int, error) {
+// Survivors+Joiners nodes and returns the node states (one slab, in
+// repair-index order) plus a run budget that covers the schedule and
+// any adversarial delays. cfg.N is overwritten.
+func NewRepairEngine(spec *RepairSpec, cfg sim.Config) (*sim.Engine, []RepairNode, int, error) {
 	if err := spec.validate(); err != nil {
 		return nil, nil, 0, err
 	}
 	s, j := spec.Survivors, spec.Joiners
 	k := s + j
 	cfg.N = k
-	protos := make([]*RepairNode, k)
+	protos := make([]RepairNode, k)
 	nodes := make([]sim.Node, k)
 	for i := range protos {
-		protos[i] = &RepairNode{
+		protos[i] = RepairNode{
 			k: k, survivors: s, newRank: spec.NewRank[i], joiner: i >= s,
 			sweepParent: ids.Nil, kidA: ids.Nil, kidB: ids.Nil, entry: ids.Nil,
 		}
-		nodes[i] = protos[i]
+		nodes[i] = &protos[i]
 	}
 	eng := sim.New(cfg, nodes)
 	idOf := eng.IDs()
@@ -541,7 +577,8 @@ func NewRepairEngine(spec *RepairSpec, cfg sim.Config) (*sim.Engine, []*RepairNo
 	}
 	fingerArena := make([]ids.ID, 0, k*levels)
 	maxHops := 0
-	for i, p := range protos {
+	for i := range protos {
+		p := &protos[i]
 		p.id = idOf[i]
 		r := spec.NewRank[i]
 		lo := len(fingerArena)
@@ -557,6 +594,18 @@ func NewRepairEngine(spec *RepairSpec, cfg sim.Config) (*sim.Engine, []*RepairNo
 		}
 	}
 	if spec.SweepParent != nil {
+		// Sweep children in CSR form: one shared slice, each parent's
+		// children contiguous and in ascending repair index.
+		off := make([]int, s+1)
+		for _, sp := range spec.SweepParent {
+			if sp >= 0 {
+				off[sp+1]++
+			}
+		}
+		for i := 0; i < s; i++ {
+			off[i+1] += off[i]
+		}
+		kids := make([]ids.ID, off[s])
 		for i := 0; i < s; i++ {
 			sp := spec.SweepParent[i]
 			protos[i].sweepOn = true
@@ -565,7 +614,15 @@ func NewRepairEngine(spec *RepairSpec, cfg sim.Config) (*sim.Engine, []*RepairNo
 				continue
 			}
 			protos[i].sweepParent = idOf[sp]
-			protos[sp].sweepChildren = append(protos[sp].sweepChildren, idOf[i])
+			kids[off[sp]] = idOf[i]
+			off[sp]++
+		}
+		// The fill advanced each off[p] to the end of p's run, which is
+		// where p+1's run starts.
+		lo := 0
+		for i := 0; i < s; i++ {
+			protos[i].sweepChildren = kids[lo:off[i]:off[i]]
+			lo = off[i]
 		}
 	} else {
 		// No sweep phase: compacted ranks are vacuously confirmed.
@@ -574,7 +631,7 @@ func NewRepairEngine(spec *RepairSpec, cfg sim.Config) (*sim.Engine, []*RepairNo
 		}
 	}
 	for x := 0; x < j; x++ {
-		p := protos[s+x]
+		p := &protos[s+x]
 		p.entry = idOf[spec.Entry[x]]
 		p.target = (spec.NewRank[s+x] - 1) / 2
 		if h := greedyHops(k, spec.NewRank[spec.Entry[x]], p.target); h > maxHops {
@@ -607,7 +664,8 @@ func NewRepairEngine(spec *RepairSpec, cfg sim.Config) (*sim.Engine, []*RepairNo
 	if haltAt < 1 {
 		haltAt = 1
 	}
-	for _, p := range protos {
+	for i := range protos {
+		p := &protos[i]
 		p.joinStart = joinStart
 		p.commitStart = commitStart
 		p.haltAt = haltAt
@@ -628,9 +686,10 @@ func NewRepairEngine(spec *RepairSpec, cfg sim.Config) (*sim.Engine, []*RepairNo
 // survivor had its compacted rank committed and every joiner was
 // acknowledged by its heap parent; the caller is expected to fall
 // back to a full rebuild in that case.
-func ExtractRepair(spec *RepairSpec, protos []*RepairNode) (*Tree, error) {
+func ExtractRepair(spec *RepairSpec, protos []RepairNode) (*Tree, error) {
 	k := spec.Survivors + spec.Joiners
-	for i, p := range protos {
+	for i := range protos {
+		p := &protos[i]
 		if i < spec.Survivors {
 			if !p.committed {
 				return nil, fmt.Errorf("wft: survivor %d (rank %d) never committed its compacted rank", i, spec.NewRank[i])

@@ -1,6 +1,7 @@
 package wft
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -266,4 +267,82 @@ func TestRepairUnderFaults(t *testing.T) {
 			t.Fatal("crash-stop mid-repair did not abort extraction")
 		}
 	})
+}
+
+// churnCase is a session-sized patch epoch: n=4096 members, 2% of
+// them leaving and 2% as many joining.
+func churnCase(t *testing.T) *RepairSpec {
+	t.Helper()
+	const n = 4096
+	old := permTree(t, n, 0xc4)
+	dead := make([]bool, n)
+	src := rng.New(0xc5)
+	for _, v := range src.SampleWithoutReplacement(n, n/50) {
+		dead[v] = true
+	}
+	spec, _ := repairCase(t, old, dead, n/50, 0xa77a)
+	return spec
+}
+
+// TestRepairParkingChangesOnlyNodeVisits runs a churn-sized repair with
+// parking and with every node kept awake, under no faults, the churn
+// benchmark's delays, and delays plus crash-stops: the repaired tree
+// (or the abort reason), rounds, and every communication metric must
+// match exactly.
+func TestRepairParkingChangesOnlyNodeVisits(t *testing.T) {
+	spec := churnCase(t)
+	advs := map[string]*sim.Adversary{
+		"none":  nil,
+		"delay": {Seed: 0xd1, DelayProb: 0.05, DelayMax: 3},
+		"crash": {Seed: 0xd2, DelayProb: 0.05, DelayMax: 3, Crashes: []sim.Crash{{Node: 17, Round: 4}, {Node: 4000, Round: 30}, {Node: 2, Round: 55}}},
+	}
+	for _, name := range []string{"none", "delay", "crash"} {
+		t.Run(name, func(t *testing.T) {
+			var outs [2]string
+			var visits [2]int64
+			for k, awake := range []bool{false, true} {
+				eng, protos, budget, err := NewRepairEngine(spec, sim.Config{Seed: 0x3, Adversary: advs[name]})
+				if err != nil {
+					t.Fatalf("NewRepairEngine: %v", err)
+				}
+				for i := range protos {
+					protos[i].stayAwake = awake
+				}
+				eng.Run(budget)
+				tree, err := ExtractRepair(spec, protos)
+				m := eng.Metrics()
+				outs[k] = fmt.Sprintf("tree=%v err=%v rounds=%d msgs=%d units=%d drops=%d delays=%d sent=%v recv=%v maxS=%v maxR=%v",
+					tree, err, eng.Round(), m.TotalMessages, m.TotalUnits, m.FaultDrops, m.FaultDelays,
+					m.PerNodeSent, m.PerNodeRecv, m.RoundMaxSent, m.RoundMaxRecv)
+				visits[k] = m.NodeRounds
+			}
+			if outs[0] != outs[1] {
+				t.Fatalf("parked run diverged from the awake run:\nparked %.300s\nawake  %.300s", outs[0], outs[1])
+			}
+			if visits[0] >= visits[1] {
+				t.Errorf("parked run made %d node visits, awake run %d", visits[0], visits[1])
+			}
+		})
+	}
+}
+
+// TestRepairNodeRoundsTrafficProportional fences the engine cost of a
+// measured patch epoch at n=4096 with 2% joins and 2% leaves: parked
+// nodes run only for mail, their scheduled emissions, and the haltAt
+// sweep, so node visits stay within 2k + 2·messages instead of the
+// rounds × k an always-awake network costs.
+func TestRepairNodeRoundsTrafficProportional(t *testing.T) {
+	spec := churnCase(t)
+	k := int64(spec.Survivors + spec.Joiners)
+	for _, adv := range []*sim.Adversary{nil, {Seed: 0xd1, DelayProb: 0.05, DelayMax: 3}} {
+		_, eng, err := runRepair(t, spec, sim.Config{Seed: 0x3, Adversary: adv})
+		if err != nil {
+			t.Fatalf("ExtractRepair: %v", err)
+		}
+		m := eng.Metrics()
+		if limit := 2*k + 2*m.TotalMessages; m.NodeRounds > limit {
+			t.Errorf("delays=%v: %d node-rounds over %d rounds exceeds 2k + 2·messages = %d (k=%d, %d messages)",
+				adv != nil, m.NodeRounds, eng.Round(), limit, k, m.TotalMessages)
+		}
+	}
 }

@@ -1050,8 +1050,8 @@ func (s *Session) patchMeasuredAttempt(joins, leaves []int, seed uint64, epoch, 
 	}
 	m := eng.Metrics()
 	var anomalies int64
-	for _, p := range protos {
-		anomalies += int64(p.Anomalies())
+	for i := range protos {
+		anomalies += int64(protos[i].Anomalies())
 	}
 	patch := Bill{
 		Path:                "patch/measured",
