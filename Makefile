@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-guard bench-scale profile fmt fmt-fix vet lint vulncheck cover scenario-smoke service-smoke service-bench ci
+.PHONY: all build test race bench bench-json bench-guard bench-scale profile fmt fmt-fix vet lint vulncheck cover scenario-smoke service-smoke service-bench perfbench-check ci
 
 # The committed coverage floor (total statement coverage, percent).
 # Raise it when coverage rises; CI fails below it.
@@ -71,6 +71,13 @@ service-smoke:
 service-bench:
 	bash scripts/service_bench.sh
 
+# The benchmark is a nested module (perfbench/, importing this one
+# through a replace directive), so the root ./... patterns skip it.
+# Vet, test and build it here so an API change that breaks it fails
+# CI instead of the next benchmark run. The binary goes to /dev/null.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./... && $(GO) build -o /dev/null .
+
 # Fail (like CI) when any file needs formatting.
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
@@ -99,4 +106,4 @@ vulncheck:
 		echo "govulncheck: unavailable (rc=$$rc), skipping (informational)"; \
 	fi
 
-ci: fmt vet lint vulncheck build race bench bench-guard cover scenario-smoke service-smoke
+ci: fmt vet lint vulncheck build race bench bench-guard cover scenario-smoke service-smoke perfbench-check

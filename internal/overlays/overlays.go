@@ -87,17 +87,16 @@ func Hypercube(nodeAt []int) *graphx.Graph {
 func DeBruijn(nodeAt []int) *graphx.Graph {
 	n := len(nodeAt)
 	g := graphx.NewGraph(n)
-	seen := make(map[[2]int]bool, 2*n)
+	// Rank edge {r, s} repeats only when r and s each name the other as
+	// a target (2r and 2r+1 differ mod n for every n > 1). The scan
+	// meets the pair first from the smaller rank, so the repeat is the
+	// one whose target s is below r and names r back.
 	for r := 0; r < n; r++ {
-		for _, s := range []int{(2 * r) % n, (2*r + 1) % n} {
-			u, v := nodeAt[r], nodeAt[s]
-			if u > v {
-				u, v = v, u
+		for _, s := range [2]int{(2 * r) % n, (2*r + 1) % n} {
+			if s == r || s < r && (r == (2*s)%n || r == (2*s+1)%n) {
+				continue
 			}
-			if u != v && !seen[[2]int{u, v}] {
-				seen[[2]int{u, v}] = true
-				g.AddEdge(u, v)
-			}
+			g.AddEdge(min(nodeAt[r], nodeAt[s]), max(nodeAt[r], nodeAt[s]))
 		}
 	}
 	return g

@@ -124,6 +124,52 @@ func TestDeBruijn(t *testing.T) {
 	}
 }
 
+// deBruijnByMap is the De Bruijn construction that deduplicates by
+// probing a map of emitted node pairs; it stays here as the oracle for
+// the arithmetic dedup.
+func deBruijnByMap(nodeAt []int) *graphx.Graph {
+	n := len(nodeAt)
+	g := graphx.NewGraph(n)
+	seen := make(map[[2]int]bool, 2*n)
+	for r := 0; r < n; r++ {
+		for _, s := range []int{(2 * r) % n, (2*r + 1) % n} {
+			u, v := nodeAt[r], nodeAt[s]
+			if u > v {
+				u, v = v, u
+			}
+			if u != v && !seen[[2]int{u, v}] {
+				seen[[2]int{u, v}] = true
+				g.AddEdge(u, v)
+			}
+		}
+	}
+	return g
+}
+
+// TestDeBruijnMatchesMapDedup pins the arithmetic dedup to the map
+// oracle, edge list and per-node neighbor order alike, over random
+// rank permutations of every small n and of power-of-two and
+// non-power-of-two large n.
+func TestDeBruijnMatchesMapDedup(t *testing.T) {
+	src := rng.New(0xdeb)
+	sizes := []int{4096, 4100}
+	for n := 1; n <= 130; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		nodeAt := src.Perm(n)
+		got, want := DeBruijn(nodeAt), deBruijnByMap(nodeAt)
+		if !slices.Equal(got.Edges(), want.Edges()) {
+			t.Fatalf("n=%d: DeBruijn edges differ from the map-deduplicated construction", n)
+		}
+		for u := 0; u < n; u++ {
+			if !slices.Equal(got.Neighbors(u), want.Neighbors(u)) {
+				t.Fatalf("n=%d: node %d neighbor order %v, oracle %v", n, u, got.Neighbors(u), want.Neighbors(u))
+			}
+		}
+	}
+}
+
 func TestOverlaysUsePermutation(t *testing.T) {
 	// nodeAt permutes node labels; graphs must be isomorphic to the
 	// identity versions (checked by degree sequence and connectivity).

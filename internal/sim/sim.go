@@ -37,9 +37,9 @@
 // []Wire arena indexed by per-destination offset/count arrays
 // (CSR-style), so a round performs zero per-message allocations and
 // delivery is a cache-linear scan instead of pointer chasing.
-// Identifier routing is a binary search over a sorted index rather
-// than a hash map, and an active-set scheduler skips parked nodes, so
-// a mostly-idle network costs only its traffic per round. A node parks
+// Identifier routing is one probe of a flat hash table built at New,
+// and an active-set scheduler skips parked nodes, so a mostly-idle
+// network costs only its traffic per round. A node parks
 // by halting (Ctx.Halt or Halter), which parks it with no deadline, or
 // by Ctx.SleepUntil(r), which parks it until round r. A parked node's
 // Round is invoked again only when a message survives delivery to it
@@ -55,7 +55,6 @@ import (
 	"math/bits"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 
 	"overlay/internal/ids"
@@ -135,12 +134,11 @@ type Engine struct {
 	ctxs    []Ctx
 	rands   []rng.Source
 
-	// Routing index: identifiers sorted ascending with the owning node
-	// index alongside. IDs are fixed at New, so lookups are a binary
-	// search with no hashing and no pointer chasing.
-	idents   []ids.ID // by node index
-	routeIDs []ids.ID // sorted
-	routeIdx []int32  // routeIdx[k] owns routeIDs[k]
+	// Routing table (see probe): filled at New, read-only afterwards,
+	// so concurrent senders share it without locks.
+	idents     []ids.ID // by node index
+	route      []routeSlot
+	routeShift uint // 64 - log2(len(route))
 
 	// Columnar inbox index: node i's inbox is the slice
 	// arena[inOff[i] : inOff[i]+inCnt[i]] of its delivery shard's
@@ -289,30 +287,14 @@ func New(cfg Config, nodes []Node) *Engine {
 	}
 	root := rng.New(cfg.Seed)
 	idStream := root.Split(0xed5)
-	seen := make(map[ids.ID]struct{}, n)
+	e.makeRoute(n)
 	for i := 0; i < n; i++ {
-		for {
-			id := ids.ID(idStream.Uint64())
-			if id == ids.Nil {
-				continue
-			}
-			if _, dup := seen[id]; dup {
-				continue
-			}
-			e.idents[i] = id
-			seen[id] = struct{}{}
-			break
+		id := ids.ID(idStream.Uint64())
+		for id == ids.Nil || !e.routeInsert(id, int32(i)) {
+			id = ids.ID(idStream.Uint64())
 		}
+		e.idents[i] = id
 	}
-	// Build the sorted routing index; the construction-time map above is
-	// only for duplicate rejection and is dropped here.
-	e.routeIDs = make([]ids.ID, n)
-	e.routeIdx = make([]int32, n)
-	copy(e.routeIDs, e.idents)
-	for i := range e.routeIdx {
-		e.routeIdx[i] = int32(i)
-	}
-	sort.Sort(&routeSorter{e.routeIDs, e.routeIdx})
 	for i := 0; i < n; i++ {
 		e.rands[i] = *root.Split(uint64(i) + 1)
 		e.ctxs[i] = Ctx{
@@ -344,39 +326,56 @@ func New(cfg Config, nodes []Node) *Engine {
 	return e
 }
 
-// routeSorter sorts the (id, index) columns together by id.
-type routeSorter struct {
-	ids []ids.ID
-	idx []int32
+// routeSlot is one routing-table slot. idx is the node index plus one,
+// so idx 0 marks an empty slot and the zero ID stays routable.
+type routeSlot struct {
+	id  ids.ID
+	idx int32
 }
 
-func (r *routeSorter) Len() int           { return len(r.ids) }
-func (r *routeSorter) Less(i, j int) bool { return r.ids[i] < r.ids[j] }
-func (r *routeSorter) Swap(i, j int) {
-	r.ids[i], r.ids[j] = r.ids[j], r.ids[i]
-	r.idx[i], r.idx[j] = r.idx[j], r.idx[i]
+// fibHash is 2^64 divided by the golden ratio: multiplying by it and
+// keeping the top bits (Fibonacci hashing) spreads IDs over the table.
+const fibHash = 0x9e3779b97f4a7c15
+
+// makeRoute sizes an empty routing table for n IDs: a power of two of
+// at least max(2n, 2) slots, so every probe chain ends at an empty one.
+func (e *Engine) makeRoute(n int) {
+	k := bits.Len(uint(max(2*n, 2) - 1))
+	e.route = make([]routeSlot, 1<<k)
+	e.routeShift = uint(64 - k)
 }
 
-// lookup resolves an identifier to a node index by binary search. This
-// is the hottest function in message-level runs (one call per Send),
-// hand-rolled because the generic slices.BinarySearch measured ~3x
-// slower here (≈30% of total CPU in BuildTreeMessageLevel profiles).
+// probe returns id's slot, or the empty slot that ends its linear
+// probe chain. At a load factor of at most one half that is usually
+// the first slot probed.
+//
+//overlay:hotpath
+func (e *Engine) probe(id ids.ID) *routeSlot {
+	mask := uint64(len(e.route) - 1)
+	for s := uint64(id) * fibHash >> e.routeShift; ; s = (s + 1) & mask {
+		if slot := &e.route[s]; slot.idx == 0 || slot.id == id {
+			return slot
+		}
+	}
+}
+
+// routeInsert adds id as node index i. It reports false, and changes
+// nothing, when id is already present.
+func (e *Engine) routeInsert(id ids.ID, i int32) bool {
+	slot := e.probe(id)
+	if slot.idx != 0 {
+		return false
+	}
+	*slot = routeSlot{id: id, idx: i + 1}
+	return true
+}
+
+// lookup resolves an identifier to a node index, once per Send.
 //
 //overlay:hotpath
 func (e *Engine) lookup(id ids.ID) (int32, bool) {
-	lo, hi := 0, len(e.routeIDs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if e.routeIDs[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(e.routeIDs) && e.routeIDs[lo] == id {
-		return e.routeIdx[lo], true
-	}
-	return 0, false
+	slot := e.probe(id)
+	return slot.idx - 1, slot.idx != 0
 }
 
 // panicUnknown reports a send to an identifier outside the simulation.

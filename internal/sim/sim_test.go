@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"slices"
 	"testing"
 
 	"overlay/internal/ids"
+	"overlay/internal/rng"
 )
 
 // Test wire kinds and payloads.
@@ -493,6 +495,116 @@ func TestUniqueIDs(t *testing.T) {
 	}
 	if i, ok := e.IndexOf(e.IDs()[42]); !ok || i != 42 {
 		t.Error("IndexOf mismatch")
+	}
+}
+
+// idsByMap is the identifier generation New used before the routing
+// table: draw from the run's ID stream and reject Nil and repeats
+// through a map. It stays here as the oracle for the table's dedup.
+func idsByMap(seed uint64, n int) []ids.ID {
+	idStream := rng.New(seed).Split(0xed5)
+	seen := make(map[ids.ID]struct{}, n)
+	out := make([]ids.ID, 0, n)
+	for len(out) < n {
+		id := ids.ID(idStream.Uint64())
+		if id == ids.Nil {
+			continue
+		}
+		if _, dup := seen[id]; dup {
+			continue
+		}
+		seen[id] = struct{}{}
+		out = append(out, id)
+	}
+	return out
+}
+
+// TestRoutingTableResolvesEveryID fences the routing table across
+// sizes on both sides of the power-of-two boundaries: the IDs match
+// the map-deduplicated generation bit for bit, every member resolves
+// to its own index, and Nil and random non-members miss.
+func TestRoutingTableResolvesEveryID(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 63, 64, 65, 4095, 4096, 4097} {
+		for _, seed := range []uint64{0, 1, 7, 9001} {
+			e := New(Config{N: n, Seed: seed}, make([]Node, n))
+			if size := len(e.route); size < 2*n || size&(size-1) != 0 {
+				t.Fatalf("n=%d: table size %d is not a power of two >= 2n", n, size)
+			}
+			want := idsByMap(seed, n)
+			if !slices.Equal(e.IDs(), want) {
+				t.Fatalf("n=%d seed=%d: IDs differ from the map-deduplicated generation", n, seed)
+			}
+			member := make(map[ids.ID]bool, n)
+			for i, id := range e.IDs() {
+				member[id] = true
+				if got, ok := e.IndexOf(id); !ok || got != i {
+					t.Fatalf("n=%d seed=%d: IndexOf(IDs()[%d]) = %d, %v", n, seed, i, got, ok)
+				}
+			}
+			if _, ok := e.IndexOf(ids.Nil); ok {
+				t.Fatalf("n=%d seed=%d: Nil resolved", n, seed)
+			}
+			probe := rng.New(seed ^ 0x5eed)
+			for k := 0; k < 1000; k++ {
+				id := ids.ID(probe.Uint64())
+				if member[id] {
+					continue
+				}
+				if i, ok := e.IndexOf(id); ok {
+					t.Fatalf("n=%d seed=%d: non-member %v resolved to %d", n, seed, id, i)
+				}
+			}
+		}
+	}
+}
+
+// fibInverse is the multiplicative inverse of fibHash modulo 2^64, so
+// a test can build an ID that hashes to any chosen slot.
+var fibInverse = func() uint64 {
+	inv := uint64(fibHash) // correct to 3 bits; each Newton step doubles them
+	for i := 0; i < 5; i++ {
+		inv *= 2 - fibHash*inv
+	}
+	return inv
+}()
+
+// TestRoutingTableCollisions drives the probe chains with hand-built
+// IDs that all hash to the table's last slot: later inserts wrap to
+// slots 0 and 1 and still resolve, a repeat insert is rejected without
+// touching the table, and a colliding non-member misses at the chain's
+// end.
+func TestRoutingTableCollisions(t *testing.T) {
+	var e Engine
+	e.makeRoute(4)
+	last := uint64(len(e.route) - 1)
+	at := func(slot, tag uint64) ids.ID { return ids.ID((slot<<e.routeShift | tag) * fibInverse) }
+	chain := []ids.ID{at(last, 1), at(last, 2), at(last, 3)}
+	for i, id := range chain {
+		if h := uint64(id) * fibHash >> e.routeShift; h != last {
+			t.Fatalf("chain[%d] hashes to slot %d, want %d", i, h, last)
+		}
+		if !e.routeInsert(id, int32(i)) {
+			t.Fatalf("insert of chain[%d] rejected", i)
+		}
+	}
+	if e.route[0].id != chain[1] || e.route[1].id != chain[2] {
+		t.Fatalf("probe chain did not wrap to slots 0 and 1: %+v", e.route)
+	}
+	if e.routeInsert(chain[2], 9) || e.routeInsert(chain[0], 9) {
+		t.Fatal("duplicate insert accepted")
+	}
+	// The zero identifier is routable: emptiness is marked by idx, not id.
+	zero := at(0, 0)
+	if zero != 0 || !e.routeInsert(zero, 3) {
+		t.Fatalf("insert of the zero ID %v rejected", zero)
+	}
+	for i, id := range append(chain, zero) {
+		if got, ok := e.lookup(id); !ok || got != int32(i) {
+			t.Errorf("lookup(%v) = %d, %v; want %d", id, got, ok, i)
+		}
+	}
+	if _, ok := e.lookup(at(last, 4)); ok {
+		t.Error("colliding non-member resolved")
 	}
 }
 
