@@ -34,9 +34,9 @@
 // defeats escalates through backoff-stretched patch attempts and
 // rebuild attempts before giving up. Every attempt is itemized in the
 // epoch row's path column (e.g. patch/measured×2+rebuild/measured),
-// and an epoch that exhausts the ladder rolls the session back to its
-// pre-epoch checkpoint — the CLI reports the rollback and keeps
-// serving the remaining epochs from the restored state.
+// and an epoch that exhausts the ladder publishes nothing, leaving the
+// session in its pre-epoch state — the CLI reports the rollback and
+// keeps serving the remaining epochs from that state.
 package main
 
 import (
@@ -248,9 +248,9 @@ func main() {
 				fmt.Printf("%-6d epoch failed: %v\n", e, err)
 				os.Exit(1)
 			}
-			// A reasoned abort: the ladder exhausted and the session
-			// rolled back to its pre-epoch checkpoint. Report it and
-			// keep serving the remaining epochs from the restored state.
+			// A reasoned abort: the ladder exhausted and the epoch
+			// published nothing. Report it and keep serving the
+			// remaining epochs from the pre-epoch state.
 			rollbacks++
 			fmt.Printf("%-6d %6d %6d %8d %8d  %-32s %8d %10d  ROLLED BACK: %s\n",
 				bill.Epoch, bill.Joined, bill.Left, len(sess.Members()), bill.Attempts,

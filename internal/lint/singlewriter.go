@@ -25,6 +25,7 @@ var sessionMutators = map[string]bool{
 	"ApplyEpoch":    true,
 	"ApplyEpochCtx": true,
 	"Restore":       true,
+	"SetFaults":     true,
 }
 
 // supervisorWorkerMethods are the Supervisor methods that execute on
@@ -38,7 +39,8 @@ var supervisorWorkerMethods = map[string]bool{
 
 // SingleWriter proves the session single-writer contract at both ends:
 // in the root overlay package, fields of overlay.Session are assigned
-// only from session.go/churn.go (the files that hold mu exclusively);
+// only from session.go/churn.go (the files that own the session's
+// write lock and its publish steps);
 // in internal/service, the exported session mutators are called only
 // from the supervisor worker goroutine's job functions — the contract
 // the -race concurrency tests sample, checked here on every call site.

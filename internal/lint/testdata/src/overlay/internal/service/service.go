@@ -45,6 +45,7 @@ func (sup *Supervisor) Shutdown() {
 func Handle(sup *Supervisor, e int) {
 	sup.Do(func(ctx context.Context, sess *overlay.Session) (any, bool, error) {
 		sess.ApplyEpoch(e)
+		sess.SetFaults(e)
 		defer func() { sess.Restore(0) }()
 		go func() {
 			sess.Restore(1) // want `Session\.Restore called outside a supervisor job function`
@@ -53,6 +54,7 @@ func Handle(sup *Supervisor, e int) {
 		return nil, false, nil
 	})
 	sup.sess.ApplyEpoch(e) // want `Session\.ApplyEpoch called outside a supervisor job function`
+	sup.sess.SetFaults(e)  // want `Session\.SetFaults called outside a supervisor job function`
 }
 
 // applyOne is a factored-out job body: JobFunc-shaped, so its own

@@ -18,5 +18,10 @@ func (s *Session) Restore(e int) {
 	s.epoch = e
 }
 
+// SetFaults arms a fault plan; a registered mutator too.
+func (s *Session) SetFaults(e int) {
+	s.epoch = e
+}
+
 // Epoch reads the current epoch; reads are unrestricted.
 func (s *Session) Epoch() int { return s.epoch }

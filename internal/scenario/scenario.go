@@ -221,9 +221,9 @@ func runChurn(s *Spec, rep *Report) {
 				break
 			}
 			// A reasoned abort is fair termination: the ladder ran out of
-			// rungs and the session rolled back. The rollback must restore
+			// rungs and the epoch published nothing. The session must keep
 			// the pre-epoch state bit for bit — serving lookups from the
-			// last committed overlay is the whole point of the checkpoint.
+			// last committed overlay is the whole point of the abort.
 			rep.EpochBills = append(rep.EpochBills, *bill)
 			tree := sess.Tree()
 			shape := fmt.Sprintf("%v|%v|%v|%v", tree.Root, tree.Parent, tree.Rank, tree.NodeAt)

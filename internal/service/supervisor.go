@@ -287,8 +287,8 @@ func (sup *Supervisor) seal() {
 // expired-before-start jobs are skipped with a deadline error and the
 // session untouched; panics are recovered, the session is rolled back
 // to the pre-mutation checkpoint, and the supervisor degrades; a
-// degrade-flagged failure (an aborted recovery ladder — the session
-// already rolled itself back) degrades too; success returns the
+// degrade-flagged failure (an aborted recovery ladder — the aborted
+// epoch published nothing) degrades too; success returns the
 // supervisor to ready.
 func (sup *Supervisor) runJob(j *job) (r jobResult) {
 	if j.ctx != nil && j.ctx.Err() != nil {

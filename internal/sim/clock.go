@@ -39,15 +39,6 @@ func (c *Clock) Advance(rounds int) {
 	}
 }
 
-// RetractEpoch undoes the most recent NextEpoch, for callers whose
-// epoch failed without changing any state: the retried epoch must
-// replay the same index and seed.
-func (c *Clock) RetractEpoch() {
-	if c.epoch > 0 {
-		c.epoch--
-	}
-}
-
 // Snapshot returns a value copy of the clock's complete state. The
 // seed source is a pure value (splitting never mutates it), so the
 // copy is an independent clock: restoring it replays rounds, epoch

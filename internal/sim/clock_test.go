@@ -28,12 +28,15 @@ func TestClockContinuation(t *testing.T) {
 	// Epoch seeds depend only on (base seed, epoch index): a replayed
 	// schedule reproduces them regardless of round consumption.
 	d := NewClock(7)
+	snap := d.Snapshot()
 	if _, s := d.NextEpoch(); s != s0 {
 		t.Error("replayed epoch 0 drew a different seed")
 	}
-	d.RetractEpoch()
+	// A failed epoch discards its clock copy: restoring the snapshot
+	// taken before it replays the same index and seed.
+	d.Restore(snap)
 	if e, s := d.NextEpoch(); e != 0 || s != s0 {
-		t.Error("retracted epoch did not replay identically")
+		t.Error("restored epoch did not replay identically")
 	}
 	if NewClock(8).seeds.Uint64() == NewClock(7).seeds.Uint64() {
 		t.Error("different base seeds share the epoch stream")

@@ -95,9 +95,11 @@ type Config struct {
 	// parallel path.
 	Sequential bool
 	// Workers bounds the worker-pool size for node execution and
-	// sharded delivery. 0 means GOMAXPROCS; 1 is equivalent to
-	// Sequential. Values above 1 force the sharded parallel path even
-	// on small inputs, which tests use to exercise it.
+	// sharded delivery. 0 means GOMAXPROCS, with rounds too sparse to
+	// pay for a worker barrier (fewer than parallelGrain runners, or
+	// messages to deliver) run inline; 1 is equivalent to Sequential.
+	// Values above 1 force the sharded parallel path even on small
+	// inputs, which tests use to exercise it.
 	Workers int
 	// Adversary installs the fault plane (see Adversary). nil runs the
 	// fault-free fast path with no per-message checks; runs with an
@@ -542,7 +544,7 @@ func (e *Engine) initNodes() {
 		}
 		e.runList = append(e.runList, int32(i))
 	}
-	e.forEach(len(e.runList), func(k int) {
+	e.forEach(len(e.runList), len(e.runList), func(k int) {
 		i := e.runList[k]
 		e.nodes[i].Init(&e.ctxs[i])
 	})
@@ -553,7 +555,7 @@ func (e *Engine) step() {
 	e.round++
 	run := e.runList
 	e.metrics.NodeRounds += int64(len(run))
-	e.forEach(len(run), func(k int) {
+	e.forEach(len(run), len(run), func(k int) {
 		i := run[k]
 		e.nodes[i].Round(&e.ctxs[i], e.inboxOf(i))
 	})
@@ -563,11 +565,21 @@ func (e *Engine) step() {
 	e.deliver()
 }
 
+// parallelGrain is the least work, in runners or in messages to
+// deliver, for which a round under the Workers: 0 default fans out to
+// the worker pool. Below it the goroutine barrier costs more than it
+// saves — a sparse repair round at n=4096 has a few hundred runners —
+// and stalls the whole round when another goroutine holds one of the
+// CPUs.
+const parallelGrain = 1024
+
 // forEach runs fn(0..k-1) across the worker pool, or inline when the
-// engine is effectively sequential.
-func (e *Engine) forEach(k int, fn func(int)) {
+// engine is effectively sequential or, under the Workers: 0 default,
+// when the round's work is below parallelGrain. Either way the output
+// is identical: every fn writes only state its own index owns.
+func (e *Engine) forEach(k, work int, fn func(int)) {
 	w := len(e.shards)
-	if w < 2 || k < 2 {
+	if w < 2 || k < 2 || e.cfg.Workers == 0 && work < parallelGrain {
 		for i := 0; i < k; i++ {
 			fn(i)
 		}
@@ -617,6 +629,7 @@ func (e *Engine) deliver() {
 	// delivery reads them: a message to a node that parks this very
 	// round has to wake it next round.
 	roundSentMax := 0
+	fresh := 0
 	next := e.scratch[:0]
 	for _, i := range run {
 		ctx := &e.ctxs[i]
@@ -631,6 +644,7 @@ func (e *Engine) deliver() {
 		}
 		e.metrics.PerNodeSent[i] += int64(sent)
 		e.metrics.TotalMessages += int64(len(ctx.outW))
+		fresh += len(ctx.outW)
 		e.metrics.TotalUnits += int64(sent)
 		if sent > roundSentMax {
 			roundSentMax = sent
@@ -640,7 +654,11 @@ func (e *Engine) deliver() {
 	e.scratch, e.active = e.active, next
 
 	// Sharded delivery into the flat per-shard arenas.
-	e.forEach(len(e.shards), func(s int) {
+	work := fresh
+	for s := range e.shards {
+		work += len(e.shards[s].held)
+	}
+	e.forEach(len(e.shards), work, func(s int) {
 		lo := int32(s * e.shardSize)
 		hi := lo + int32(e.shardSize)
 		if hi > int32(e.cfg.N) {

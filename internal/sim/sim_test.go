@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -359,6 +360,89 @@ func TestRecvDropsReproducible(t *testing.T) {
 	againSums, againM := runGossipMetrics(Config{Seed: 7, Workers: 4}, 2)
 	if !reflect.DeepEqual(parSums, againSums) || !reflect.DeepEqual(parM, againM) {
 		t.Error("repeated run with equal seed diverged")
+	}
+}
+
+// taperNode gossips like gossipNode but stops sending after its own
+// number of turns, so the run list shrinks round by round.
+type taperNode struct {
+	peers []ids.ID
+	limit int
+	sum   uint64
+	turns int
+	ran   []int // the rounds this node ran in
+}
+
+func (g *taperNode) Init(ctx *Ctx) { g.send(ctx) }
+
+func (g *taperNode) Round(ctx *Ctx, inbox []Wire) {
+	g.ran = append(g.ran, ctx.Round())
+	for _, w := range inbox {
+		var m valMsg
+		m.Decode(w)
+		g.sum += m.v
+	}
+	g.turns++
+	if g.turns < g.limit {
+		g.send(ctx)
+	}
+}
+
+func (g *taperNode) send(ctx *Ctx) {
+	Send(ctx, g.peers[ctx.Rand.Intn(len(g.peers))], valMsg{ctx.Rand.Uint64()})
+}
+
+func (g *taperNode) Halted() bool { return g.turns >= g.limit }
+
+// TestInlineGrainMatchesSequential pins that the Workers: 0 default's
+// per-round choice between the worker pool and an inline pass never
+// changes output: a run whose run list shrinks from above parallelGrain
+// to below it must match the sequential engine bit for bit, in node
+// state and metrics, with a pool of four workers available.
+func TestInlineGrainMatchesSequential(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const n = 2 * parallelGrain
+	run := func(cfg Config) ([]*taperNode, *Metrics) {
+		cfg.N = n
+		nodes := make([]Node, n)
+		ts := make([]*taperNode, n)
+		for i := range nodes {
+			ts[i] = &taperNode{limit: 1 + i%6}
+			nodes[i] = ts[i]
+		}
+		e := New(cfg, nodes)
+		for _, tn := range ts {
+			tn.peers = e.IDs()
+		}
+		e.Run(50)
+		return ts, e.Metrics()
+	}
+	seq, seqM := run(Config{Seed: 11, Sequential: true})
+	runners := map[int]int{}
+	for _, tn := range seq {
+		for _, r := range tn.ran {
+			runners[r]++
+		}
+	}
+	dense, sparse := 0, 0
+	for _, k := range runners {
+		if k >= parallelGrain {
+			dense++
+		} else if k > 1 {
+			sparse++
+		}
+	}
+	if dense == 0 || sparse == 0 {
+		t.Fatalf("run list never crossed the grain: %d dense and %d sparse rounds", dense, sparse)
+	}
+	for _, w := range []int{0, 2} {
+		got, gotM := run(Config{Seed: 11, Workers: w})
+		if !reflect.DeepEqual(got, seq) {
+			t.Errorf("workers=%d: node state diverged from the sequential run", w)
+		}
+		if !reflect.DeepEqual(gotM, seqM) {
+			t.Errorf("workers=%d: metrics diverged from the sequential run:\nseq: %+v\ngot: %+v", w, seqM, gotM)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -69,10 +70,9 @@ type SessionOptions struct {
 	// then falls to the recovery rebuild, itself retried up to
 	// RebuildRetries times the same way. Zero (the default) keeps the
 	// pre-ladder semantics: one patch attempt, one fallback rebuild.
-	// When every rung fails, ApplyEpoch rolls the session back to its
-	// pre-epoch checkpoint and returns the aborted bill alongside a
-	// reasoned error — the session keeps serving lookups from the last
-	// committed state.
+	// When every rung fails, ApplyEpoch publishes nothing and returns
+	// the aborted bill alongside a reasoned error — the session keeps
+	// serving lookups from the last committed state.
 	PatchRetries   int
 	RebuildRetries int
 }
@@ -114,10 +114,11 @@ type EpochBill struct {
 	// order; the embedded Bill is their fold.
 	Attempts     int
 	AttemptBills []Bill
-	// Aborted reports that every ladder rung failed: the session was
-	// rolled back to its pre-epoch checkpoint and AbortReason joins
-	// the per-rung defeat reasons. ApplyEpoch returns the aborted bill
-	// alongside its error; aborted bills are never appended to Bills.
+	// Aborted reports that every ladder rung failed: the epoch
+	// published nothing, so the session keeps its pre-epoch state, and
+	// AbortReason joins the per-rung defeat reasons. ApplyEpoch returns
+	// the aborted bill alongside its error; aborted bills are never
+	// appended to Bills.
 	Aborted     bool
 	AbortReason string
 	// DerivedRounds charges the Section 1.4 derived-overlay
@@ -145,16 +146,23 @@ type EpochBill struct {
 // mutation (ApplyEpoch, ApplyEpochCtx, Restore, SetFaults); mutations
 // themselves must not overlap, and the Session serializes them with
 // an internal write lock so misuse degrades to queueing, never to a
-// data race. Readers observe either the pre-epoch or the committed
-// post-epoch state, never a partial repair.
+// data race. An epoch computes its repair off the reader lock and
+// publishes the result in one short critical section, so readers
+// never wait out a repair: they observe either the pre-epoch or the
+// committed post-epoch state, never a partial one.
 type Session struct {
-	// mu is the single-writer/multi-reader guard: mutating methods
-	// hold it exclusively for their full duration (an epoch repair is
-	// atomic from a reader's point of view), readers share it.
+	// writeMu serializes the mutators for their full duration. Only its
+	// holder writes the state below (members, tree, clock, nextID,
+	// bills, departed, faults, interrupt), so the holder may read that
+	// state without mu while it computes the next one.
+	writeMu sync.Mutex
+	// mu guards the published state against readers: readers share it,
+	// and a writeMu holder takes it exclusively only for the publish
+	// step that swaps in its result.
 	mu sync.RWMutex
 	// interrupt, when non-nil, is the installed deadline poll of the
 	// in-flight ApplyEpochCtx call; engine runs and rebuilds check it
-	// between rounds. Only touched while mu is held exclusively.
+	// between rounds. Only touched while writeMu is held.
 	interrupt func() bool
 
 	rebuildFrac    float64
@@ -181,10 +189,10 @@ type Session struct {
 
 	// derived is the per-epoch derived-overlay cache: view name →
 	// global-identifier edge list, computed once per committed epoch
-	// and invalidated whenever the tree changes (epoch commit, abort
-	// rollback, Restore). derivedMu guards the map so concurrent
-	// readers (who hold mu only shared) can fill it; invalidation
-	// happens under mu held exclusively, which excludes every reader.
+	// and invalidated whenever the tree changes (epoch commit, Restore).
+	// derivedMu guards the map so concurrent readers (who hold mu only
+	// shared) can fill it; invalidation happens in a publish step, under
+	// mu held exclusively, which excludes every reader.
 	derivedMu sync.Mutex
 	derived   map[string][][2]int
 
@@ -478,10 +486,12 @@ func (s *Session) memberIndex(id int) (int, bool) {
 // Checkpoint is a restorable snapshot of a session's committed state:
 // membership, the well-formed tree (topology, ranks, and thereby the
 // Chord fingers), the per-epoch bills, the departure record, and the
-// session clock. The retained expander substrate is shared, not
-// copied — it is immutable for the session's lifetime. A checkpoint
-// is reusable: Restore copies out of it, so the same checkpoint can
-// roll the session back more than once.
+// session clock. Membership, tree, bills and the retained expander
+// substrate are shared with the session, not copied: epochs replace
+// members and tree wholesale and only ever append bills, so nothing
+// writes the shared values in place. Only the departure record, which
+// epochs extend in place, is copied. A checkpoint is reusable: the
+// same checkpoint can roll the session back more than once.
 type Checkpoint struct {
 	owner    *Session
 	members  []int
@@ -492,32 +502,21 @@ type Checkpoint struct {
 	departed map[int]int
 }
 
-// Checkpoint snapshots the session's current committed state.
-// ApplyEpoch takes one internally before every epoch and restores it
-// when the whole recovery ladder fails; callers can take their own to
-// re-apply an epoch later or to bracket experiments.
+// Checkpoint snapshots the session's current committed state, so
+// callers can re-apply an epoch later or bracket experiments.
 func (s *Session) Checkpoint() *Checkpoint {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.checkpointLocked()
-}
-
-// checkpointLocked is Checkpoint with the lock already held (shared
-// or exclusive).
-func (s *Session) checkpointLocked() *Checkpoint {
-	departed := make(map[int]int, len(s.departed))
-	//lint:ordered map-to-map copy; the checkpoint map has no order
-	for id, e := range s.departed {
-		departed[id] = e
-	}
 	return &Checkpoint{
-		owner:    s,
-		members:  append([]int(nil), s.members...),
-		tree:     copyTree(s.tree),
-		clock:    s.clock.Snapshot(),
-		nextID:   s.nextID,
-		bills:    append([]EpochBill(nil), s.bills...),
-		departed: departed,
+		owner:   s,
+		members: s.members,
+		tree:    s.tree,
+		clock:   s.clock.Snapshot(),
+		nextID:  s.nextID,
+		// Clipping the capacity makes the session's next append
+		// reallocate rather than write past the checkpoint's view.
+		bills:    s.bills[:len(s.bills):len(s.bills)],
+		departed: maps.Clone(s.departed),
 	}
 }
 
@@ -527,26 +526,19 @@ func (s *Session) checkpointLocked() *Checkpoint {
 // lookups, bills, and epochs exactly as it did when the checkpoint
 // was taken — bit for bit.
 func (s *Session) Restore(cp *Checkpoint) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.restoreLocked(cp)
-}
-
-// restoreLocked is Restore with the write lock already held.
-func (s *Session) restoreLocked(cp *Checkpoint) error {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
 	if cp == nil || cp.owner != s {
 		return errors.New("overlay: Restore needs a checkpoint taken from this session")
 	}
-	s.members = append([]int(nil), cp.members...)
-	s.tree = copyTree(cp.tree)
+	departed := maps.Clone(cp.departed)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.members = cp.members
+	s.tree = cp.tree
 	s.clock.Restore(cp.clock)
 	s.nextID = cp.nextID
-	s.bills = append([]EpochBill(nil), cp.bills...)
-	departed := make(map[int]int, len(cp.departed))
-	//lint:ordered map-to-map copy; the restored map has no order
-	for id, e := range cp.departed {
-		departed[id] = e
-	}
+	s.bills = cp.bills
 	s.departed = departed
 	s.invalidateDerivedLocked()
 	return nil
@@ -563,8 +555,10 @@ func (s *Session) restoreLocked(cp *Checkpoint) error {
 // fault-injection entry point of a live service: an operator (or a
 // chaos driver) arms the adversary mid-session without reopening it.
 func (s *Session) SetFaults(p *FaultPlan) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	// Only epochs read the plan, and they hold writeMu too: no reader
+	// sees s.faults, so the assignment needs no publish step.
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
 	if p != nil && !s.build.MessageLevel {
 		return errors.New("overlay: SetFaults requires a MessageLevel build configuration (the fast path simulates no messages to fault)")
 	}
@@ -582,15 +576,15 @@ func (s *Session) SetFaults(p *FaultPlan) error {
 //
 // A defeated epoch climbs the recovery ladder (see
 // SessionOptions.PatchRetries/RebuildRetries). When every rung fails,
-// the session rolls back to its pre-epoch checkpoint and ApplyEpoch
-// returns the aborted bill (Aborted set, every attempt itemized)
-// together with a reasoned error: the caller can re-apply the epoch
-// or keep serving lookups from the last committed state. Invalid
-// arguments return (nil, error) without consuming an epoch.
+// the epoch publishes nothing and ApplyEpoch returns the aborted bill
+// (Aborted set, every attempt itemized) together with a reasoned
+// error: the caller can re-apply the epoch or keep serving lookups
+// from the last committed state. Invalid arguments return (nil,
+// error) without consuming an epoch.
 func (s *Session) ApplyEpoch(joins, leaves []int) (*EpochBill, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.applyEpochLocked(joins, leaves)
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	return s.applyEpoch(joins, leaves)
 }
 
 // ApplyEpochCtx is ApplyEpoch bounded by a context: the deadline (or
@@ -598,18 +592,18 @@ func (s *Session) ApplyEpoch(joins, leaves []int) (*EpochBill, error) {
 // and rebuilds, at rung boundaries of the recovery ladder, and before
 // the analytic paths commit. An epoch the context interrupts is a
 // hard error wrapping both ErrInterrupted and the context's error —
-// the session rolls back to its pre-epoch state (bit-identical, epoch
-// counter not advanced) and keeps serving lookups, so a timed-out
-// request observably never happened. ApplyEpochCtx(context.Background(),
-// …) is exactly ApplyEpoch.
+// the epoch publishes nothing (the session stays bit-identical, epoch
+// counter not advanced) and the session keeps serving lookups, so a
+// timed-out request observably never happened.
+// ApplyEpochCtx(context.Background(), …) is exactly ApplyEpoch.
 func (s *Session) ApplyEpochCtx(ctx context.Context, joins, leaves []int) (*EpochBill, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
 	if ctx != nil && ctx.Done() != nil {
 		s.interrupt = func() bool { return ctx.Err() != nil }
 		defer func() { s.interrupt = nil }()
 	}
-	bill, err := s.applyEpochLocked(joins, leaves)
+	bill, err := s.applyEpoch(joins, leaves)
 	if err != nil && errors.Is(err, ErrInterrupted) && ctx.Err() != nil {
 		err = fmt.Errorf("%w: %w", err, ctx.Err())
 	}
@@ -622,8 +616,22 @@ func (s *Session) interrupted() bool {
 	return s.interrupt != nil && s.interrupt()
 }
 
-// applyEpochLocked is the epoch body; the write lock is held.
-func (s *Session) applyEpochLocked(joins, leaves []int) (*EpochBill, error) {
+// epochState is the state an epoch computes before publishing it: the
+// next membership (ascending global identifiers) and the well-formed
+// tree over it.
+type epochState struct {
+	members []int
+	tree    *Tree
+}
+
+// applyEpoch is the epoch body; the caller holds writeMu but not mu.
+// The ladder computes the next state in locals, reading the session's
+// state without mu (only writeMu holders write it), and the epoch
+// draws its index and seed from a copy of the clock. A committed epoch
+// then publishes in one short exclusive section; an epoch that fails
+// validation, aborts or is interrupted has written nothing, so readers
+// never wait out a repair and a failed epoch needs no rollback.
+func (s *Session) applyEpoch(joins, leaves []int) (*EpochBill, error) {
 	joins, leaves, err := s.checkEpochArgs(joins, leaves)
 	if err != nil {
 		return nil, err
@@ -631,10 +639,9 @@ func (s *Session) applyEpochLocked(joins, leaves []int) (*EpochBill, error) {
 	if s.interrupted() {
 		return nil, fmt.Errorf("%w (before epoch %d started)", ErrInterrupted, s.clock.Epoch())
 	}
-	cp := s.checkpointLocked()
-	k0 := len(s.members)
-	churned := float64(len(joins)+len(leaves)) / float64(k0)
-	epoch, seed := s.clock.NextEpoch()
+	clock := s.clock.Snapshot()
+	churned := float64(len(joins)+len(leaves)) / float64(len(s.members))
+	epoch, seed := clock.NextEpoch()
 	bill := &EpochBill{
 		Epoch:           epoch,
 		Joined:          len(joins),
@@ -642,55 +649,61 @@ func (s *Session) applyEpochLocked(joins, leaves []int) (*EpochBill, error) {
 		ChurnedFraction: churned,
 		Rebuilt:         churned > s.rebuildFrac,
 	}
-	if err := s.runEpochLadder(joins, leaves, seed, bill); err != nil {
-		// Hard specification error (not an adversary defeat): the
-		// session must stay replayable, so the epoch counter must not
-		// advance either.
-		s.restoreLocked(cp)
+	next, err := s.runEpochLadder(joins, leaves, seed, bill)
+	if err != nil {
+		// Hard specification error (not an adversary defeat): nothing
+		// was published, so the epoch counter has not advanced either
+		// and the session stays replayable.
 		return nil, err
 	}
 	if bill.Aborted {
-		s.restoreLocked(cp)
 		bill.Members = len(s.members)
 		bill.Clock = s.clock.Round()
-		return bill, fmt.Errorf("overlay: epoch %d aborted after %d attempts: %s; session rolled back to the pre-epoch checkpoint", epoch, bill.Attempts, bill.AbortReason)
+		return bill, fmt.Errorf("overlay: epoch %d aborted after %d attempts: %s; epoch rolled back, the session keeps its pre-epoch state", epoch, bill.Attempts, bill.AbortReason)
 	}
-	bill.Members = len(s.members)
-	s.clock.Advance(bill.Rounds)
-	bill.Clock = s.clock.Round()
+	bill.Members = len(next.members)
+	clock.Advance(bill.Rounds)
+	bill.Clock = clock.Round()
 	// Section 1.4 re-establishment: bill the O(log k) rounds the
 	// derived overlays cost to re-announce over the repaired tree. The
 	// charge is a separate line item, not folded into Bill.Rounds or
 	// the clock (see EpochBill.DerivedRounds).
-	bill.DerivedRounds = sim.LogBound(len(s.members)) + 1
+	bill.DerivedRounds = sim.LogBound(len(next.members)) + 1
 	bill.Itemized += fmt.Sprintf("%-28s %5d rounds  (charged, off the epoch clock)\n", "derived re-establishment", bill.DerivedRounds)
-	s.noteDepartures(epoch, cp.members, joins)
-	if len(joins) > 0 {
-		if last := joins[len(joins)-1]; last >= s.nextID {
-			s.nextID = last + 1
-		}
+	gone := departures(s.members, joins, next.members)
+	nextID := s.nextID
+	if len(joins) > 0 && joins[len(joins)-1] >= nextID {
+		nextID = joins[len(joins)-1] + 1
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.members, s.tree = next.members, next.tree
+	s.clock.Restore(clock)
+	s.nextID = nextID
+	for _, id := range gone {
+		s.departed[id] = epoch
 	}
 	s.bills = append(s.bills, *bill)
 	s.invalidateDerivedLocked()
 	return bill, nil
 }
 
-// noteDepartures records everyone who was in the epoch's world — a
+// departures lists everyone who was in the epoch's world — a
 // pre-epoch member or a scheduled joiner — and is absent from the
 // committed membership: scheduled leavers, rebuild casualties, and
-// joiners a faulted rebuild killed before they arrived.
-func (s *Session) noteDepartures(epoch int, prevMembers, joins []int) {
-	mark := func(id int) {
-		if _, ok := s.memberIndex(id); !ok {
-			s.departed[id] = epoch
+// joiners a faulted rebuild killed before they arrived. The committed
+// membership is drawn from that world, so the count is exact.
+func departures(prevMembers, joins, members []int) []int {
+	gone := make([]int, 0, len(prevMembers)+len(joins)-len(members))
+	for _, ids := range [2][]int{prevMembers, joins} {
+		for _, id := range ids {
+			if k := sort.SearchInts(members, id); k == len(members) || members[k] != id {
+				gone = append(gone, id)
+			}
 		}
 	}
-	for _, id := range prevMembers {
-		mark(id)
-	}
-	for _, id := range joins {
-		mark(id)
-	}
+	return gone
 }
 
 // runEpochLadder executes the epoch's recovery ladder: the patch
@@ -699,20 +712,21 @@ func (s *Session) noteDepartures(epoch int, prevMembers, joins []int) {
 // with a per-attempt derived seed and fate stream, a fault plan
 // shifted past the rounds earlier failed rungs consumed, and — for
 // patch rungs — a growing round-budget slack. The first rung that
-// commits wins; its state is already applied when this returns. When
-// every rung fails, bill.Aborted is set with every attempt itemized
-// and the session left for the caller to roll back. A non-nil error
-// is a hard specification failure, never an adversary defeat.
-func (s *Session) runEpochLadder(joins, leaves []int, seed uint64, bill *EpochBill) error {
+// commits wins and its next state is returned, unpublished. When
+// every rung fails, bill.Aborted is set with every attempt itemized and
+// the returned state is empty. A non-nil error is a hard specification
+// failure, never an adversary defeat.
+func (s *Session) runEpochLadder(joins, leaves []int, seed uint64, bill *EpochBill) (epochState, error) {
 	measuredPatch := !bill.Rebuilt && s.accounting == Measured && len(joins)+len(leaves) > 0
 	if !bill.Rebuilt && !measuredPatch {
 		// No-op and charged patches commit analytically in one attempt.
-		if err := s.patchEpoch(joins, leaves, seed, bill); err != nil {
-			return err
+		next, err := s.patchEpoch(joins, leaves, seed, bill)
+		if err != nil {
+			return epochState{}, err
 		}
 		bill.Attempts = 1
 		bill.AttemptBills = []Bill{bill.Bill}
-		return nil
+		return next, nil
 	}
 
 	var attempts []Bill
@@ -733,37 +747,37 @@ func (s *Session) runEpochLadder(joins, leaves []int, seed uint64, bill *EpochBi
 	if measuredPatch {
 		for a := 0; a <= s.patchRetries; a++ {
 			if s.interrupted() {
-				return fmt.Errorf("%w (patch rung %d of epoch %d)", ErrInterrupted, a, bill.Epoch)
+				return epochState{}, fmt.Errorf("%w (patch rung %d of epoch %d)", ErrInterrupted, a, bill.Epoch)
 			}
-			b, reason, err := s.patchMeasuredAttempt(joins, leaves, attemptSeed(seed, 0x9a7c, a), bill.Epoch, a, spent)
+			next, b, reason, err := s.patchMeasuredAttempt(joins, leaves, attemptSeed(seed, 0x9a7c, a), bill.Epoch, a, spent)
 			if err != nil {
-				return err
+				return epochState{}, err
 			}
 			if reason == nil {
 				commit(b, false)
-				return nil
+				return next, nil
 			}
 			fail(b, "patch", reason)
 		}
 	}
 	for a := 0; a <= s.rebuildRetries; a++ {
 		if s.interrupted() {
-			return fmt.Errorf("%w (rebuild rung %d of epoch %d)", ErrInterrupted, a, bill.Epoch)
+			return epochState{}, fmt.Errorf("%w (rebuild rung %d of epoch %d)", ErrInterrupted, a, bill.Epoch)
 		}
-		b, reason, err := s.rebuildAttempt(joins, leaves, attemptSeed(seed, 0x4eb1, a), bill, a, spent)
+		next, b, reason, err := s.rebuildAttempt(joins, leaves, attemptSeed(seed, 0x4eb1, a), bill, a, spent)
 		if err != nil {
-			return err
+			return epochState{}, err
 		}
 		if reason == nil {
 			commit(b, true)
-			return nil
+			return next, nil
 		}
 		fail(b, "rebuild", reason)
 	}
 	bill.Aborted = true
 	bill.AbortReason = compressRuns(reasons, "; ")
 	sealLadderBill(bill, attempts)
-	return nil
+	return epochState{}, nil
 }
 
 // attemptSeed derives rung a's seed: attempt 0 uses the epoch seed
@@ -899,12 +913,13 @@ func (s *Session) epochPartition(joins, leaves []int) (dead []bool, survivors, n
 // repaired Chord fingers to its heap parent (≤ ⌈log₂ k⌉ hops, all
 // joiners in parallel), plus an attach/ack exchange; (3) a commit
 // broadcast of the new membership count down the new tree. Everything
-// is rank arithmetic afterwards, exactly as in the one-shot build.
-func (s *Session) patchEpoch(joins, leaves []int, seed uint64, bill *EpochBill) error {
+// is rank arithmetic afterwards, exactly as in the one-shot build. A
+// no-op epoch's next state is the current one.
+func (s *Session) patchEpoch(joins, leaves []int, seed uint64, bill *EpochBill) (epochState, error) {
 	if len(joins) == 0 && len(leaves) == 0 {
 		bill.Path = "patch/noop"
 		bill.Itemized = fmt.Sprintf("%-28s %5d rounds  %9d msgs (charged)\n", "no-op epoch", 0, 0)
-		return nil
+		return epochState{s.members, s.tree}, nil
 	}
 	dead, survivors, newMembers, newOf := s.epochPartition(joins, leaves)
 	s0 := len(survivors)
@@ -918,7 +933,7 @@ func (s *Session) patchEpoch(joins, leaves []int, seed uint64, bill *EpochBill) 
 	}
 	rt, err := wft.Repair(old, deadMask, len(joins))
 	if err != nil {
-		return fmt.Errorf("overlay: epoch patch failed: %w", err)
+		return epochState{}, fmt.Errorf("overlay: epoch patch failed: %w", err)
 	}
 
 	bill.Path = "patch/charged"
@@ -958,12 +973,10 @@ func (s *Session) patchEpoch(joins, leaves []int, seed uint64, bill *EpochBill) 
 	messages += commitM
 	itemized += fmt.Sprintf("%-28s %5d rounds  %9d msgs (charged)\n", "membership commit", commitR, commitM)
 
-	s.members = newMembers
-	s.tree = nt
 	bill.Rounds = rounds
 	bill.Messages = messages
 	bill.Itemized = itemized
-	return nil
+	return epochState{newMembers, nt}, nil
 }
 
 // patchMeasuredAttempt runs one patch rung as a real wire protocol
@@ -976,10 +989,10 @@ func (s *Session) patchEpoch(joins, leaves []int, seed uint64, bill *EpochBill) 
 // topology bit for bit. seed is the rung's derived seed; spent is the
 // rounds earlier failed rungs consumed (advancing the fault-plan
 // offset), and attempt > 0 re-derives the fate stream and stretches
-// the engine budget (backoff). A committed attempt applies the new
-// state and returns a nil reason; a defeated one returns its wasted
-// bill and the defeat reason. A non-nil error is a hard failure.
-func (s *Session) patchMeasuredAttempt(joins, leaves []int, seed uint64, epoch, attempt, spent int) (Bill, error, error) {
+// the engine budget (backoff). A committed attempt returns the next
+// state and a nil reason; a defeated one returns its wasted bill and
+// the defeat reason. A non-nil err is a hard failure.
+func (s *Session) patchMeasuredAttempt(joins, leaves []int, seed uint64, epoch, attempt, spent int) (next epochState, patch Bill, reason, err error) {
 	dead, _, newMembers, newOf := s.epochPartition(joins, leaves)
 	var deadMask []bool
 	if len(leaves) > 0 {
@@ -989,7 +1002,7 @@ func (s *Session) patchMeasuredAttempt(joins, leaves []int, seed uint64, epoch, 
 	depth0 := old.Depth()
 	rt, err := wft.Repair(old, deadMask, len(joins))
 	if err != nil {
-		return Bill{}, nil, fmt.Errorf("overlay: epoch patch failed: %w", err)
+		return epochState{}, Bill{}, nil, fmt.Errorf("overlay: epoch patch failed: %w", err)
 	}
 	j := len(joins)
 	k1 := len(newMembers)
@@ -1042,18 +1055,18 @@ func (s *Session) patchMeasuredAttempt(joins, leaves []int, seed uint64, epoch, 
 	}
 	eng, protos, budget, err := wft.NewRepairEngine(spec, cfg)
 	if err != nil {
-		return Bill{}, nil, fmt.Errorf("overlay: epoch patch failed: %w", err)
+		return epochState{}, Bill{}, nil, fmt.Errorf("overlay: epoch patch failed: %w", err)
 	}
 	eng.Run(budget)
 	if eng.Interrupted() {
-		return Bill{}, nil, fmt.Errorf("%w (measured patch, round %d)", ErrInterrupted, eng.Round())
+		return epochState{}, Bill{}, nil, fmt.Errorf("%w (measured patch, round %d)", ErrInterrupted, eng.Round())
 	}
 	m := eng.Metrics()
 	var anomalies int64
 	for i := range protos {
 		anomalies += int64(protos[i].Anomalies())
 	}
-	patch := Bill{
+	patch = Bill{
 		Path:                "patch/measured",
 		Rounds:              eng.Round(),
 		Messages:            m.TotalMessages,
@@ -1073,11 +1086,9 @@ func (s *Session) patchMeasuredAttempt(joins, leaves []int, seed uint64, epoch, 
 		// The adversary defeated the repair: hand the wasted traffic
 		// and the reason back to the ladder, which decides whether to
 		// retry the patch or fall to the recovery rebuild.
-		return patch, err, nil
+		return epochState{}, patch, err, nil
 	}
-	s.members = newMembers
-	s.tree = relabelTree(mt, newOf)
-	return patch, nil, nil
+	return epochState{newMembers, relabelTree(mt, newOf)}, patch, nil, nil
 }
 
 // rebuildAttempt is one rung of the recovery path: a full BuildTree
@@ -1087,17 +1098,17 @@ func (s *Session) patchMeasuredAttempt(joins, leaves []int, seed uint64, epoch, 
 // runs on the rung's derived seed; a session fault plan is shifted
 // into the rebuild's local clock (past the spent rounds of earlier
 // failed rungs) and index space, with attempt > 0 re-deriving the
-// fate stream. A committed rebuild applies the new state (its
+// fate stream. A committed rebuild returns the next state (its
 // casualties shrink the membership beyond the scheduled leavers,
-// counted into bill.Left) and returns a nil reason; an
-// adversary-aborted one returns its partial bill and the abort
-// reason. A non-nil error is a hard failure that ends the ladder.
-func (s *Session) rebuildAttempt(joins, leaves []int, seed uint64, bill *EpochBill, attempt, spent int) (Bill, error, error) {
+// counted into bill.Left) and a nil reason; an adversary-aborted one
+// returns its partial bill and the abort reason. A non-nil err is a
+// hard failure that ends the ladder.
+func (s *Session) rebuildAttempt(joins, leaves []int, seed uint64, bill *EpochBill, attempt, spent int) (next epochState, b Bill, reason, err error) {
 	_, survivors, newMembers, newOf := s.epochPartition(joins, leaves)
 	s0 := len(survivors)
 	k1 := len(newMembers)
 	if s0 == 0 {
-		return Bill{}, nil, errors.New("overlay: rebuild has no survivors to anchor on")
+		return epochState{}, Bill{}, nil, errors.New("overlay: rebuild has no survivors to anchor on")
 	}
 
 	// Survivor substrate: the current finger ring, restricted to
@@ -1161,9 +1172,9 @@ func (s *Session) rebuildAttempt(joins, leaves []int, seed uint64, bill *EpochBi
 	}
 	res, err := BuildTree(g, &opts)
 	if err != nil {
-		return Bill{}, nil, fmt.Errorf("overlay: epoch rebuild failed: %w", err)
+		return epochState{}, Bill{}, nil, fmt.Errorf("overlay: epoch rebuild failed: %w", err)
 	}
-	b := res.Stats.Bill
+	b = res.Stats.Bill
 	mode := "charged"
 	b.Path = "rebuild/fast"
 	if opts.MessageLevel {
@@ -1172,7 +1183,7 @@ func (s *Session) rebuildAttempt(joins, leaves []int, seed uint64, bill *EpochBi
 	}
 	if res.Aborted {
 		b.Itemized = fmt.Sprintf("%-28s %5d rounds  %9d msgs (%s)\n", "rebuild attempt (BuildTree)", b.Rounds, b.Messages, mode)
-		return b, errors.New(res.AbortReason), nil
+		return epochState{}, b, errors.New(res.AbortReason), nil
 	}
 	if res.Survivors != nil {
 		picked := make([]int, len(res.Survivors))
@@ -1182,10 +1193,8 @@ func (s *Session) rebuildAttempt(joins, leaves []int, seed uint64, bill *EpochBi
 		newMembers = picked
 		bill.Left += k1 - len(picked)
 	}
-	s.members = newMembers
-	s.tree = copyTree(res.Tree)
 	b.Itemized = fmt.Sprintf("%-28s %5d rounds  %9d msgs (%s)\n", "full rebuild (BuildTree)", b.Rounds, b.Messages, mode)
-	return b, nil, nil
+	return epochState{newMembers, copyTree(res.Tree)}, b, nil, nil
 }
 
 // copyTree deep-copies a tree.

@@ -3,9 +3,11 @@ package overlay
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestSessionConcurrentReadsDuringEpoch pins the single-writer /
@@ -136,5 +138,106 @@ func TestApplyEpochCtxExpired(t *testing.T) {
 	bill, err = sess.ApplyEpochCtx(context.Background(), []int{24}, nil)
 	if err != nil || bill.Epoch != 0 {
 		t.Fatalf("live-context epoch: %+v, %v", bill, err)
+	}
+}
+
+// probeCtx is a context whose Err poll runs probe. ApplyEpochCtx polls
+// Err at the epoch start, at rung boundaries and between engine rounds;
+// Done is non-nil so the session installs the poll, and never closes,
+// so the epoch is never interrupted.
+type probeCtx struct {
+	context.Context
+	done  chan struct{}
+	probe func()
+}
+
+func (c *probeCtx) Done() <-chan struct{} { return c.done }
+
+func (c *probeCtx) Err() error {
+	c.probe()
+	return nil
+}
+
+// TestSessionReadsProceedDuringEpoch pins that an epoch computes off
+// the reader lock: at every poll of a measured epoch — including the
+// polls between engine rounds — a reader goroutine's Members, Epoch,
+// RouteLookup, Chord and Checkpoint must return promptly and show the
+// pre-epoch state, and once ApplyEpochCtx returns they show the
+// committed one. A session that holds its reader lock for the whole
+// epoch blocks every such read until the epoch ends, so the test then
+// fails by its 10 s timeout.
+func TestSessionReadsProceedDuringEpoch(t *testing.T) {
+	sess, _ := openLineSession(t, 64, &SessionOptions{Accounting: Measured})
+	pre := sess.Members()
+	from, to := pre[0], pre[len(pre)-1]
+	prePath, err := sess.RouteLookup(from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	preChord := sess.Chord()
+	joins, leaves := measuredEpochArgs(sess)
+
+	type reads struct {
+		members []int
+		epoch   int
+		path    []int
+		err     error
+		chord   [][2]int
+		cp      *Checkpoint
+	}
+	polls, blocked := 0, false
+	ctx := &probeCtx{Context: context.Background(), done: make(chan struct{})}
+	ctx.probe = func() {
+		polls++
+		if blocked {
+			return
+		}
+		got := make(chan reads, 1)
+		go func() {
+			var r reads
+			r.members = sess.Members()
+			r.epoch = sess.Epoch()
+			r.path, r.err = sess.RouteLookup(from, to)
+			r.chord = sess.Chord()
+			r.cp = sess.Checkpoint()
+			got <- r
+		}()
+		select {
+		case r := <-got:
+			if !reflect.DeepEqual(r.members, pre) || r.epoch != 0 || r.err != nil ||
+				!reflect.DeepEqual(r.path, prePath) || !reflect.DeepEqual(r.chord, preChord) ||
+				!reflect.DeepEqual(r.cp.members, pre) || r.cp.clock.Epoch() != 0 {
+				t.Errorf("poll %d: reads left the pre-epoch state: epoch %d, path %v (%v)", polls, r.epoch, r.path, r.err)
+			}
+		case <-time.After(10 * time.Second):
+			blocked = true
+			t.Errorf("poll %d: reads still blocked behind the in-flight epoch after 10 s", polls)
+		}
+	}
+
+	if _, err := sess.ApplyEpochCtx(ctx, joins, leaves); err != nil {
+		t.Fatal(err)
+	}
+	// One poll at the epoch start, one at the patch rung, the rest
+	// between engine rounds.
+	if polls < 3 {
+		t.Fatalf("only %d polls: the probe never ran between engine rounds", polls)
+	}
+
+	post := sess.Members()
+	if reflect.DeepEqual(post, pre) || sess.Epoch() != 1 {
+		t.Fatalf("epoch not published: epoch %d, %d members", sess.Epoch(), len(post))
+	}
+	if _, err := sess.RouteLookup(from, joins[0]); err != nil {
+		t.Errorf("lookup to joiner %d after the epoch: %v", joins[0], err)
+	}
+	if _, err := sess.RouteLookup(from, leaves[0]); !errors.Is(err, ErrDeparted) {
+		t.Errorf("lookup to leaver %d after the epoch: %v, want ErrDeparted", leaves[0], err)
+	}
+	if reflect.DeepEqual(sess.Chord(), preChord) {
+		t.Error("chord view not invalidated by the published epoch")
+	}
+	if cp := sess.Checkpoint(); !reflect.DeepEqual(cp.members, post) || cp.clock.Epoch() != 1 {
+		t.Errorf("checkpoint after the epoch: epoch %d, %d members", cp.clock.Epoch(), len(cp.members))
 	}
 }

@@ -213,6 +213,58 @@ func TestSessionCheckpointRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSessionCheckpointRestoreTwice: checkpoints share the session's
+// members, tree and bills instead of copying them, so a checkpoint
+// restored twice, with different epochs committed after it each time,
+// must give back bit-identical state both times, and so must a second
+// checkpoint taken in between. The first checkpoint is taken after
+// three epochs, when the bills slice has spare capacity: a share that
+// let the session append into it would let the epoch committed after
+// the first restore overwrite the second checkpoint's last bill.
+func TestSessionCheckpointRestoreTwice(t *testing.T) {
+	sess, _ := openLineSession(t, 128, &SessionOptions{Accounting: Measured})
+	apply := func(leaveAt int) {
+		t.Helper()
+		m := sess.Members()
+		if _, err := sess.ApplyEpoch([]int{sess.NextID()}, []int{m[leaveAt]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type state struct {
+		members      []int
+		tree         *Tree
+		bills        []EpochBill
+		epoch, round int
+	}
+	snap := func() state {
+		return state{sess.Members(), copyTree(sess.Tree()), sess.Bills(), sess.Epoch(), sess.ClockRound()}
+	}
+	restore := func(cp *Checkpoint, want state, what string) {
+		t.Helper()
+		if err := sess.Restore(cp); err != nil {
+			t.Fatal(err)
+		}
+		if got := snap(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: restored state diverged:\n%+v\nvs\n%+v", what, got, want)
+		}
+	}
+
+	for e := 0; e < 3; e++ {
+		apply(5 + e)
+	}
+	cp1, want1 := sess.Checkpoint(), snap()
+	apply(20)
+	cp2, want2 := sess.Checkpoint(), snap()
+	restore(cp1, want1, "first restore of cp1")
+	apply(60)
+	apply(61)
+	if reflect.DeepEqual(snap(), want1) || reflect.DeepEqual(snap(), want2) {
+		t.Fatal("epochs changed nothing; the restore checks would be vacuous")
+	}
+	restore(cp2, want2, "restore of cp2")
+	restore(cp1, want1, "second restore of cp1")
+}
+
 // TestSessionLookupAfterAbortedEpoch: when every rung of the ladder is
 // defeated the session rolls back to the pre-epoch checkpoint and must
 // keep serving lookups from the last committed overlay — and lookups
